@@ -103,7 +103,8 @@ BM_CameoAccess(benchmark::State &state)
         benchmark::DoNotOptimize(
             ctrl.access(now, rng.next((32ull << 20) / 64), false,
                         0x400000 + 4 * rng.next(64),
-                        static_cast<std::uint32_t>(rng.next(8))));
+                        static_cast<std::uint32_t>(rng.next(8)),
+                        Fidelity::Detailed));
         now += 25;
     }
 }

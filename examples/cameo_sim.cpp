@@ -264,6 +264,17 @@ main(int argc, char **argv)
     if (!cli.errors().empty())
         return EXIT_FAILURE;
 
+    std::vector<OrgKind> requested = {kind};
+    if (want_baseline)
+        requested.push_back(OrgKind::Baseline);
+    for (const OrgKind k : requested) {
+        if (const char *err = config.orgConfig().validate(k)) {
+            std::cerr << "error: cannot build " << orgKindName(k) << ": "
+                      << err << "\n";
+            return EXIT_FAILURE;
+        }
+    }
+
     // Both runs go through the sweep engine; with --baseline and
     // --jobs >= 2 (or auto) they execute concurrently. The System of
     // the main run outlives the sweep so --dump-stats can read its

@@ -102,7 +102,7 @@ CameoController::shouldSwap(std::uint64_t group, std::uint32_t slot)
 
 Tick
 CameoController::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                        std::uint32_t core)
+                        std::uint32_t core, Fidelity fidelity)
 {
     assert(line < groups_.totalLines());
     const std::uint64_t group = groups_.groupOf(line);
@@ -114,62 +114,21 @@ CameoController::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
     else
         servicedOffchip_.inc();
 
-    if (is_write)
-        return writeback(now, group, loc);
+    // Writebacks update data in place: DRAM traffic only, no LLT or
+    // predictor state changes.
+    if (is_write) {
+        return fidelity == Fidelity::Detailed ? writeback(now, group, loc)
+                                              : now;
+    }
 
     switch (params_.llt) {
       case LltKind::Ideal:
-        return accessIdeal(now, group, slot, loc, false);
+        return accessIdeal(now, group, slot, loc, fidelity);
       case LltKind::Embedded:
-        return accessEmbedded(now, group, slot, loc, false);
+        return accessEmbedded(now, group, slot, loc, fidelity);
       case LltKind::CoLocated:
       default:
-        return accessCoLocated(now, group, slot, loc, false, pc, core);
-    }
-}
-
-void
-CameoController::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                                  std::uint32_t core)
-{
-    assert(line < groups_.totalLines());
-    const std::uint64_t group = groups_.groupOf(line);
-    const std::uint32_t slot = groups_.slotOf(line);
-    const std::uint32_t loc = llt_.locationOf(group, slot);
-
-    if (loc == 0)
-        servicedStacked_.inc();
-    else
-        servicedOffchip_.inc();
-
-    // Writebacks update data in place (see writeback()): no LLT or
-    // predictor state changes, only DRAM traffic — nothing to do.
-    if (is_write)
-        return;
-
-    switch (params_.llt) {
-      case LltKind::Ideal:
-        if (loc != 0 && shouldSwap(group, slot))
-            swapSlotIn(group, slot);
-        return;
-      case LltKind::Embedded:
-        lltLookups_.inc();
-        if (loc != 0 && shouldSwap(group, slot))
-            swapSlotIn(group, slot);
-        return;
-      case LltKind::CoLocated:
-      default: {
-        // Same order as accessCoLocated: predict, then the swap-filter
-        // consultation (its counter and any filter side effects come
-        // before training), then train the LLP with the verified
-        // location. The wasted/squashed speculative-fetch split is
-        // queue-occupancy-dependent and detailed-only.
-        const std::uint32_t pred = predictor_.predict(core, pc, loc);
-        if (loc != 0 && shouldSwap(group, slot))
-            swapSlotIn(group, slot);
-        predictor_.update(core, pc, pred, loc);
-        return;
-      }
+        return accessCoLocated(now, group, slot, loc, pc, core, fidelity);
     }
 }
 
@@ -197,27 +156,25 @@ CameoController::writeback(Tick now, std::uint64_t group, std::uint32_t loc)
 
 void
 CameoController::swapIn(Tick when, std::uint64_t group, std::uint32_t slot,
-                        std::uint32_t loc, bool victim_in_hand)
+                        std::uint32_t loc, bool victim_in_hand,
+                        Fidelity fidelity)
 {
     assert(loc != 0);
-    const std::uint64_t off_line = groups_.offchipLineOf(group, loc);
+    if (fidelity == Fidelity::Detailed) {
+        // Read the outgoing stacked resident unless the caller already
+        // has it (Co-Located: the LEAD read returned it).
+        if (!victim_in_hand)
+            stacked_.request(when, stackedDataLine(group), false,
+                             stackedBurst());
+        // Victim takes the incoming line's old off-chip location.
+        offchip_.request(when, groups_.offchipLineOf(group, loc), true,
+                         kLineBytes);
+        // Incoming line is installed in the group's stacked slot (the
+        // LEAD write also refreshes the co-located location entry).
+        stacked_.request(when, stackedDataLine(group), true,
+                         stackedBurst());
+    }
 
-    // Read the outgoing stacked resident unless the caller already has
-    // it (Co-Located: the LEAD read returned it).
-    if (!victim_in_hand)
-        stacked_.request(when, stackedDataLine(group), false, stackedBurst());
-    // Victim takes the incoming line's old off-chip location.
-    offchip_.request(when, off_line, true, kLineBytes);
-    // Incoming line is installed in the group's stacked slot (the LEAD
-    // write also refreshes the co-located location entry).
-    stacked_.request(when, stackedDataLine(group), true, stackedBurst());
-
-    swapSlotIn(group, slot);
-}
-
-void
-CameoController::swapSlotIn(std::uint64_t group, std::uint32_t slot)
-{
     const std::uint32_t victim_slot = llt_.slotAt(group, 0);
     llt_.swapSlots(group, slot, victim_slot);
     swaps_.inc();
@@ -226,47 +183,53 @@ CameoController::swapSlotIn(std::uint64_t group, std::uint32_t slot)
 Tick
 CameoController::accessIdeal(Tick now, std::uint64_t group,
                              std::uint32_t slot, std::uint32_t loc,
-                             bool is_write)
+                             Fidelity fidelity)
 {
+    const bool detailed = fidelity == Fidelity::Detailed;
     if (loc == 0) {
-        return stacked_.request(now, stackedDataLine(group), is_write,
-                               kLineBytes);
+        return detailed ? stacked_.request(now, stackedDataLine(group),
+                                           false, kLineBytes)
+                        : now;
     }
-    Tick done = now;
-    if (!is_write) {
-        done = offchip_.request(now, groups_.offchipLineOf(group, loc),
-                               false, kLineBytes);
-    }
+    const Tick done =
+        detailed ? offchip_.request(now, groups_.offchipLineOf(group, loc),
+                                    false, kLineBytes)
+                 : now;
     // Swap traffic goes through the writeback/fill queues; bill it at
     // request time (off the demand critical path).
     if (shouldSwap(group, slot))
-        swapIn(now, group, slot, loc, /*victim_in_hand=*/false);
+        swapIn(now, group, slot, loc, /*victim_in_hand=*/false, fidelity);
     return done;
 }
 
 Tick
 CameoController::accessEmbedded(Tick now, std::uint64_t group,
                                 std::uint32_t slot, std::uint32_t loc,
-                                bool is_write)
+                                Fidelity fidelity)
 {
+    const bool detailed = fidelity == Fidelity::Detailed;
     // Serial LLT lookup from the reserved stacked region.
-    const Tick t_llt = stacked_.request(now, lltLine(group), false,
-                                       kLineBytes);
+    const Tick t_llt =
+        detailed ? stacked_.request(now, lltLine(group), false, kLineBytes)
+                 : now;
     lltLookups_.inc();
 
     if (loc == 0) {
-        return stacked_.request(t_llt, stackedDataLine(group), is_write,
-                               kLineBytes);
+        return detailed ? stacked_.request(t_llt, stackedDataLine(group),
+                                           false, kLineBytes)
+                        : now;
     }
-    Tick done = t_llt;
-    if (!is_write) {
-        done = offchip_.request(t_llt, groups_.offchipLineOf(group, loc),
-                               false, kLineBytes);
-    }
+    const Tick done = detailed
+                          ? offchip_.request(
+                                t_llt, groups_.offchipLineOf(group, loc),
+                                false, kLineBytes)
+                          : now;
     if (shouldSwap(group, slot)) {
-        swapIn(t_llt, group, slot, loc, /*victim_in_hand=*/false);
+        swapIn(t_llt, group, slot, loc, /*victim_in_hand=*/false,
+               fidelity);
         // The swap moved lines, so the LLT entry must be rewritten.
-        stacked_.request(t_llt, lltLine(group), true, kLineBytes);
+        if (detailed)
+            stacked_.request(t_llt, lltLine(group), true, kLineBytes);
     }
     return done;
 }
@@ -274,67 +237,60 @@ CameoController::accessEmbedded(Tick now, std::uint64_t group,
 Tick
 CameoController::accessCoLocated(Tick now, std::uint64_t group,
                                  std::uint32_t slot, std::uint32_t loc,
-                                 bool is_write, InstAddr pc,
-                                 std::uint32_t core)
+                                 InstAddr pc, std::uint32_t core,
+                                 Fidelity fidelity)
 {
+    const bool detailed = fidelity == Fidelity::Detailed;
     // The LEAD read is the LLT lookup; it also returns the data of
     // whatever line currently occupies the group's stacked slot.
-    const Tick t_lead = stacked_.request(now, stackedDataLine(group), false,
-                                        stackedBurst());
+    const Tick t_lead =
+        detailed ? stacked_.request(now, stackedDataLine(group), false,
+                                    stackedBurst())
+                 : now;
 
-    // Location prediction applies to demand reads only: writebacks
-    // carry their own data and gain nothing from a parallel fetch.
-    std::uint32_t pred = 0;
-    if (!is_write) {
-        pred = predictor_.predict(core, pc, loc);
-        if (pred != 0 && pred != loc) {
-            // Wrong off-chip guess (case 2 if the line is stacked,
-            // case 5 if elsewhere off-chip). The LEAD read verifies
-            // the prediction at t_lead; a speculative fetch still
-            // queued at that point is squashed before it touches the
-            // bus, so it only wastes bandwidth when the off-chip
-            // memory could have serviced it immediately.
-            const std::uint64_t spec =
-                groups_.offchipLineOf(group, pred);
-            if (offchip_.earliestServiceStart(spec) <= t_lead) {
-                offchip_.request(now, spec, false, kLineBytes);
-                wastedFetches_.inc();
+    const std::uint32_t pred = predictor_.predict(core, pc, loc);
+    if (detailed && pred != 0 && pred != loc) {
+        // Wrong off-chip guess (case 2 if the line is stacked, case 5
+        // if elsewhere off-chip). The LEAD read verifies the
+        // prediction at t_lead; a speculative fetch still queued at
+        // that point is squashed before it touches the bus, so it only
+        // wastes bandwidth when the off-chip memory could have
+        // serviced it immediately.
+        const std::uint64_t spec = groups_.offchipLineOf(group, pred);
+        if (offchip_.earliestServiceStart(spec) <= t_lead) {
+            offchip_.request(now, spec, false, kLineBytes);
+            wastedFetches_.inc();
+        } else {
+            squashedFetches_.inc();
+        }
+    }
+
+    // Data came with the LEAD when the line is stacked.
+    Tick done = t_lead;
+    if (loc != 0) {
+        if (detailed) {
+            const std::uint64_t off_line =
+                groups_.offchipLineOf(group, loc);
+            if (pred == loc) {
+                // Correct prediction: off-chip fetch ran in parallel
+                // with the LEAD read; completion still waits for the
+                // LLT verification (the LEAD read).
+                const Tick t_off =
+                    offchip_.request(now, off_line, false, kLineBytes);
+                done = std::max(t_lead, t_off);
             } else {
-                squashedFetches_.inc();
+                // Serialized: correct location only known after the
+                // LEAD.
+                done = offchip_.request(t_lead, off_line, false,
+                                        kLineBytes);
             }
         }
-    }
-
-    Tick done;
-    if (loc == 0) {
-        // Data came with the LEAD.
-        done = t_lead;
-        if (is_write) {
-            // Write the updated data back into the LEAD slot.
-            stacked_.request(t_lead, stackedDataLine(group), true,
-                            stackedBurst());
-        }
-    } else {
-        const std::uint64_t off_line = groups_.offchipLineOf(group, loc);
-        if (is_write) {
-            done = t_lead;
-        } else if (pred == loc) {
-            // Correct prediction: off-chip fetch ran in parallel with
-            // the LEAD read; completion still waits for the LLT
-            // verification (the LEAD read).
-            const Tick t_off = offchip_.request(now, off_line, false,
-                                               kLineBytes);
-            done = std::max(t_lead, t_off);
-        } else {
-            // Serialized: correct location only known after the LEAD.
-            done = offchip_.request(t_lead, off_line, false, kLineBytes);
-        }
         if (shouldSwap(group, slot))
-            swapIn(now, group, slot, loc, /*victim_in_hand=*/true);
+            swapIn(now, group, slot, loc, /*victim_in_hand=*/true,
+                   fidelity);
     }
 
-    if (!is_write)
-        predictor_.update(core, pc, pred, loc);
+    predictor_.update(core, pc, pred, loc);
     return done;
 }
 

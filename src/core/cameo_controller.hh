@@ -35,6 +35,7 @@
 #include "core/line_location_predictor.hh"
 #include "core/line_location_table.hh"
 #include "dram/dram_module.hh"
+#include "sim/fidelity.hh"
 #include "snapshot/snapshot.hh"
 #include "stats/counter.hh"
 #include "stats/registry.hh"
@@ -90,27 +91,24 @@ class CameoController
     /**
      * Service one OS-physical line access.
      *
+     * At Functional fidelity (DESIGN.md §13) the LLT swap decisions
+     * (same swap-filter consultation order), LLP prediction + training
+     * and serviced/swap counters are identical, but no DRAM request is
+     * issued and the speculative-fetch squash accounting (wasted /
+     * squashed fetches, a property of queue occupancy) is skipped.
+     *
      * @param now      Request time.
      * @param line     OS-physical line address (the "Requested
      *                 Address" of the paper).
      * @param is_write L3 writeback (true) or demand fill (false).
      * @param pc       Missing instruction's address (feeds the LLP).
      * @param core     Requesting core (selects the LLR table).
-     * @return Data-arrival time for reads; acceptance time for writes.
+     * @param fidelity Detailed (timed) or Functional (state only).
+     * @return Data-arrival time for reads; acceptance time for writes;
+     *         @p now at Functional fidelity.
      */
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core);
-
-    /**
-     * Functional-fidelity twin of access() (DESIGN.md §13): identical
-     * LLT swap decisions (same swap-filter consultation order), LLP
-     * prediction + training, and serviced/swap counters — but no DRAM
-     * requests and no speculative-fetch squash accounting (wasted /
-     * squashed fetches are properties of queue occupancy and are only
-     * defined in detailed mode).
-     */
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core);
+                std::uint32_t core, Fidelity fidelity);
 
     /**
      * Stacked device lines an Embedded LLT reserves for @p data_lines
@@ -186,18 +184,16 @@ class CameoController
 
     /**
      * Move the line at (group, slot, loc != 0) into stacked memory,
-     * moving the current stacked resident out to @p loc. Issues the
-     * writeback/fill traffic at @p when and updates the LLT.
+     * moving the current stacked resident out to @p loc. Updates the
+     * LLT and, at Detailed fidelity, issues the writeback/fill traffic
+     * at @p when.
      *
      * @param victim_in_hand True when the stacked resident's data was
      *        already read (Co-Located LEAD read), so no extra stacked
      *        read is needed.
      */
     void swapIn(Tick when, std::uint64_t group, std::uint32_t slot,
-                std::uint32_t loc, bool victim_in_hand);
-
-    /** The architectural half of swapIn(): LLT update + swap count. */
-    void swapSlotIn(std::uint64_t group, std::uint32_t slot);
+                std::uint32_t loc, bool victim_in_hand, Fidelity fidelity);
 
     /** Update a written-back line in place (no swap). */
     Tick writeback(Tick now, std::uint64_t group, std::uint32_t loc);
@@ -205,13 +201,14 @@ class CameoController
     /** Consult the swap admission filter (counts rejections). */
     bool shouldSwap(std::uint64_t group, std::uint32_t slot);
 
+    /** Demand reads, one routine per LLT design (writes never get here). */
     Tick accessIdeal(Tick now, std::uint64_t group, std::uint32_t slot,
-                     std::uint32_t loc, bool is_write);
+                     std::uint32_t loc, Fidelity fidelity);
     Tick accessEmbedded(Tick now, std::uint64_t group, std::uint32_t slot,
-                        std::uint32_t loc, bool is_write);
+                        std::uint32_t loc, Fidelity fidelity);
     Tick accessCoLocated(Tick now, std::uint64_t group, std::uint32_t slot,
-                         std::uint32_t loc, bool is_write, InstAddr pc,
-                         std::uint32_t core);
+                         std::uint32_t loc, InstAddr pc, std::uint32_t core,
+                         Fidelity fidelity);
 
     CameoParams params_;
     DramModule &stacked_;

@@ -67,7 +67,7 @@ class DramModule
     /**
      * Service one device command through the active timing mode — the
      * only entry point the memory pipeline (organizations, CAMEO
-     * controller) may use; `tools/lint.py` enforces that discipline.
+     * controller) may use; `tools/analyze` enforces that discipline.
      *
      * Blocking mode forwards to the legacy access() shim. Queued mode
      * routes the command through the per-channel controller queues:

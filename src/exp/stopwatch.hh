@@ -7,7 +7,7 @@
  * durations and aggregate throughput, which are properties of the
  * *host*, not of the simulation. Wall-clock readings must never feed
  * simulation state — simulated results stay bit-reproducible — which
- * is why tools/lint.py bans <chrono> clocks everywhere else and
+ * is why tools/analyze bans <chrono> clocks everywhere else and
  * exempts exactly this wrapper.
  */
 

@@ -14,18 +14,10 @@ CameoFreqOrg::CameoFreqOrg(const OrgConfig &config)
 
 Tick
 CameoFreqOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                     std::uint32_t core)
+                     std::uint32_t core, Fidelity fidelity)
 {
     filter_.noteAccess(line);
-    return CameoOrg::access(now, line, is_write, pc, core);
-}
-
-void
-CameoFreqOrg::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                               std::uint32_t core)
-{
-    filter_.noteAccess(line);
-    CameoOrg::accessFunctional(line, is_write, pc, core);
+    return CameoOrg::access(now, line, is_write, pc, core, fidelity);
 }
 
 void

@@ -33,10 +33,7 @@ class CameoFreqOrg : public CameoOrg
     explicit CameoFreqOrg(const OrgConfig &config);
 
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
+                std::uint32_t core, Fidelity fidelity) override;
 
     void registerStats(StatRegistry &registry) override;
 

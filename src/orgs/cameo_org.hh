@@ -34,10 +34,7 @@ class CameoOrg : public MemoryOrganization
     explicit CameoOrg(const OrgConfig &config, std::string name = "");
 
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
+                std::uint32_t core, Fidelity fidelity) override;
 
     std::uint64_t visibleBytes() const override { return visibleBytes_; }
 

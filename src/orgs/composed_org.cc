@@ -1,7 +1,7 @@
 /**
  * @file
- * ComposedOrg driver implementation — the routing path the old
- * TlmStaticOrg hierarchy hard-wired, now shared by every composition.
+ * ComposedOrg driver implementation — the routing path shared by every
+ * page-granular composition.
  */
 
 #include "orgs/composed_org.hh"
@@ -36,16 +36,19 @@ ComposedOrg::~ComposedOrg() = default;
 
 Tick
 ComposedOrg::routeLine(Tick now, std::uint64_t device_page,
-                       std::uint32_t line_in_page, bool is_write)
+                       std::uint32_t line_in_page, bool is_write,
+                       Fidelity fidelity)
 {
     assert(device_page < totalPages_);
-    if (inStacked(device_page)) {
-        servicedStacked_.inc();
+    const bool stacked = inStacked(device_page);
+    (stacked ? servicedStacked_ : servicedOffchip_).inc();
+    if (fidelity == Fidelity::Functional)
+        return now;
+    if (stacked) {
         return stacked_.request(now,
                                device_page * kLinesPerPage + line_in_page,
                                is_write, kLineBytes);
     }
-    servicedOffchip_.inc();
     const std::uint64_t off_line =
         (device_page - stackedPages_) * kLinesPerPage + line_in_page;
     return offchip_.request(now, off_line, is_write, kLineBytes);
@@ -53,40 +56,23 @@ ComposedOrg::routeLine(Tick now, std::uint64_t device_page,
 
 Tick
 ComposedOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                    std::uint32_t core)
+                    std::uint32_t core, Fidelity fidelity)
 {
     (void)pc;
     const PageAddr phys_page = lineToPage(line);
     // Translation first: mappings whose metadata lives in memory (the
     // Banshee PTE cache) may bill a walk and delay the data access.
-    const Tick start = mapping_->beginAccess(now, phys_page, core, offchip_,
-                                             Fidelity::Detailed);
+    const Tick start =
+        mapping_->beginAccess(now, phys_page, core, offchip_, fidelity);
     const std::uint64_t dev = mapping_->devicePageOf(phys_page);
     const auto line_in_page =
         static_cast<std::uint32_t>(line & (kLinesPerPage - 1));
-    const Tick done = routeLine(start, dev, line_in_page, is_write);
+    const Tick done = routeLine(start, dev, line_in_page, is_write,
+                                fidelity);
     // Migration traffic drains through writeback/fill queues; bill it
     // at request time, off the demand critical path.
-    placement_->onAccess(*this, start, phys_page, dev, is_write,
-                         Fidelity::Detailed);
+    placement_->onAccess(*this, start, phys_page, dev, is_write, fidelity);
     return done;
-}
-
-void
-ComposedOrg::accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                              std::uint32_t core)
-{
-    (void)pc;
-    const PageAddr phys_page = lineToPage(line);
-    mapping_->beginAccess(0, phys_page, core, offchip_,
-                          Fidelity::Functional);
-    const std::uint64_t dev = mapping_->devicePageOf(phys_page);
-    assert(dev < totalPages_);
-    // Same demand-routing accounting as routeLine, minus the module
-    // requests; then the same placement hook at functional fidelity.
-    (inStacked(dev) ? servicedStacked_ : servicedOffchip_).inc();
-    placement_->onAccess(*this, 0, phys_page, dev, is_write,
-                         Fidelity::Functional);
 }
 
 void

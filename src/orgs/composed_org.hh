@@ -3,14 +3,12 @@
  * ComposedOrg: a two-level organization assembled from one page-granular
  * MappingPolicy and one PagePlacementPolicy (DESIGN.md §14).
  *
- * The driver owns the DRAM modules and the demand-routing path that the
- * old TlmStaticOrg hierarchy hard-wired: translate the OS-physical page
- * through the mapping, service the line from the right module, then let
- * the placement react (possibly swapping pages through the
- * PlacementContext interface this class implements). The TLM family and
- * Banshee are all instances of this driver with different policy pairs;
- * their stats, routing arithmetic, and snapshot byte layouts are
- * identical to the pre-refactor monoliths.
+ * The driver owns the DRAM modules and the demand-routing path:
+ * translate the OS-physical page through the mapping, service the line
+ * from the right module, then let the placement react (possibly
+ * swapping pages through the PlacementContext interface this class
+ * implements). makeOrganization() builds the TLM family and Banshee as
+ * instances of this driver with different policy pairs.
  */
 
 #ifndef CAMEO_ORGS_COMPOSED_ORG_HH
@@ -37,10 +35,7 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     ~ComposedOrg() override;
 
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core) override;
-
-    void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                          std::uint32_t core) override;
+                std::uint32_t core, Fidelity fidelity) override;
 
     std::uint64_t visibleBytes() const override
     {
@@ -87,12 +82,6 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     const Counter &servicedStacked() const { return servicedStacked_; }
     const Counter &pageMigrations() const { return pageMigrations_; }
 
-    /** Current device page of an OS-physical page (for tests). */
-    std::uint64_t devicePageOfPublic(PageAddr phys_page) const
-    {
-        return mapping_->devicePageOf(phys_page);
-    }
-
     PageMappingPolicy &mappingPolicy() { return *mapping_; }
     const PageMappingPolicy &mappingPolicy() const { return *mapping_; }
     PagePlacementPolicy &placementPolicy() { return *placement_; }
@@ -117,9 +106,14 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
         return device_page < stackedPages_;
     }
 
-    /** Service a line of @p device_page from the right module. */
+    /**
+     * Service a line of @p device_page from the right module (counting
+     * the demand routing at both fidelities; the module request only
+     * at Detailed).
+     */
     Tick routeLine(Tick now, std::uint64_t device_page,
-                   std::uint32_t line_in_page, bool is_write);
+                   std::uint32_t line_in_page, bool is_write,
+                   Fidelity fidelity);
 
     DramModule stacked_;
     DramModule offchip_;

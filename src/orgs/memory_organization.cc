@@ -4,15 +4,17 @@
 #include <cctype>
 
 #include "orgs/alloy_cache.hh"
-#include "orgs/banshee.hh"
 #include "orgs/baseline.hh"
 #include "orgs/cameo_freq.hh"
 #include "orgs/cameo_org.hh"
-#include "orgs/double_use.hh"
-#include "orgs/tlm_dynamic.hh"
-#include "orgs/tlm_freq.hh"
-#include "orgs/tlm_oracle.hh"
-#include "orgs/tlm_static.hh"
+#include "orgs/composed_org.hh"
+#include "orgs/policy/epoch_freq_placement.hh"
+#include "orgs/policy/nth_touch_placement.hh"
+#include "orgs/policy/oracle_heat_placement.hh"
+#include "orgs/policy/page_remap_mapping.hh"
+#include "orgs/policy/pte_cached_mapping.hh"
+#include "orgs/policy/sampling_freq_placement.hh"
+#include "util/bitops.hh"
 
 namespace cameo
 {
@@ -33,7 +35,8 @@ MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
     req.core = core;
     req.issueTick = now;
 
-    const Tick done = access(now, line, is_write, pc, core);
+    const Tick done = access(now, line, is_write, pc, core,
+                             Fidelity::Detailed);
 #if CAMEO_AUDIT_ENABLED
     queueAudit_.onSubmit(req.id, now);
 #endif
@@ -190,14 +193,28 @@ MemoryOrganization::setPageHeat(PageHeatMap heat)
 }
 
 const char *
-OrgConfig::validate() const
+OrgConfig::validate(OrgKind kind) const
 {
     if (stackedBytes == 0)
         return "stackedBytes must be nonzero";
+    if (offchipBytes == 0)
+        return "offchipBytes must be nonzero";
     if (stackedBytes % kPageBytes != 0)
         return "stackedBytes must be a whole number of pages";
     if (offchipBytes % kPageBytes != 0)
         return "offchipBytes must be a whole number of pages";
+    if (kind == OrgKind::Cameo || kind == OrgKind::CameoFreq) {
+        // Congruence groups (Section IV-A): one group per stacked line,
+        // selected by the low line-address bits, each holding K lines.
+        if (!isPowerOfTwo(stackedBytes / kLineBytes))
+            return "stackedBytes must be a power-of-two number of lines "
+                   "(CAMEO congruence groups)";
+        const std::uint64_t total = stackedBytes + offchipBytes;
+        if (total % stackedBytes != 0 || total / stackedBytes > 16)
+            return "(stackedBytes + offchipBytes) / stackedBytes must be "
+                   "a whole number in [2, 16] (CAMEO congruence group "
+                   "size)";
+    }
     if (numCores == 0)
         return "numCores must be nonzero";
     if (const char *err = llt.validate())
@@ -312,6 +329,11 @@ orgComposition(OrgKind kind)
 std::unique_ptr<MemoryOrganization>
 makeOrganization(OrgKind kind, const OrgConfig &config)
 {
+    assert(config.validate(kind) == nullptr &&
+           "invalid organization config");
+    const std::uint64_t stacked_pages = config.stackedBytes / kPageBytes;
+    const std::uint64_t total_pages =
+        (config.stackedBytes + config.offchipBytes) / kPageBytes;
     switch (kind) {
       case OrgKind::Baseline:
         return std::make_unique<BaselineOrg>(config);
@@ -319,21 +341,45 @@ makeOrganization(OrgKind kind, const OrgConfig &config)
         return std::make_unique<AlloyCacheOrg>(config,
                                                config.offchipBytes);
       case OrgKind::TlmStatic:
-        return std::make_unique<TlmStaticOrg>(config);
+        return std::make_unique<ComposedOrg>(
+            config, orgKindName(kind), std::make_unique<IdentityMapping>(),
+            std::make_unique<StaticPlacement>());
       case OrgKind::TlmDynamic:
-        return std::make_unique<TlmDynamicOrg>(config);
+        return std::make_unique<ComposedOrg>(
+            config, orgKindName(kind),
+            std::make_unique<PageRemapMapping>(total_pages),
+            std::make_unique<NthTouchMigratePlacement>(
+                stacked_pages, total_pages, config.migrate, config.seed));
       case OrgKind::TlmFreq:
-        return std::make_unique<TlmFreqOrg>(config);
+        return std::make_unique<ComposedOrg>(
+            config, orgKindName(kind),
+            std::make_unique<PageRemapMapping>(total_pages),
+            std::make_unique<EpochFrequencyPlacement>(
+                stacked_pages, total_pages, config.freq.epochAccesses));
       case OrgKind::TlmOracle:
-        return std::make_unique<TlmOracleOrg>(config);
+        return std::make_unique<ComposedOrg>(
+            config, orgKindName(kind),
+            std::make_unique<PageRemapMapping>(total_pages),
+            std::make_unique<OracleHeatPlacement>(stacked_pages,
+                                                  total_pages));
       case OrgKind::DoubleUse:
-        return std::make_unique<DoubleUseOrg>(config);
+        // The cache stays, and the backing memory magically gains the
+        // stacked capacity (Section II-D).
+        return std::make_unique<AlloyCacheOrg>(
+            config, config.offchipBytes + config.stackedBytes,
+            orgKindName(kind));
       case OrgKind::Cameo:
         return std::make_unique<CameoOrg>(config);
       case OrgKind::CameoFreq:
         return std::make_unique<CameoFreqOrg>(config);
       case OrgKind::Banshee:
-        return std::make_unique<BansheeOrg>(config);
+        return std::make_unique<ComposedOrg>(
+            config, orgKindName(kind),
+            std::make_unique<PteCachedPageMapping>(
+                total_pages, config.numCores, config.banshee),
+            std::make_unique<SamplingFrequencyPlacement>(
+                stacked_pages, total_pages, config.banshee,
+                config.freq.epochAccesses, config.seed));
     }
     return nullptr;
 }

@@ -10,8 +10,15 @@
  * and therefore drives the page-fault behaviour of Capacity-Limited
  * workloads.
  *
+ * Each organization has one access routine, access(), taking the
+ * Fidelity of the access (DESIGN.md §13): Detailed issues the DRAM
+ * requests and returns the completion tick; Functional makes the same
+ * architectural state updates without them. The factory builds the
+ * TLM family and Banshee as ComposedOrg policy pairs, and DoubleUse as
+ * an AlloyCacheOrg over enlarged backing memory (DESIGN.md §14).
+ *
  * Requesters enter through submit(), the transaction front door
- * (DESIGN.md §9): it wraps the virtual access() timing model in a
+ * (DESIGN.md §9): it wraps the detailed access() timing model in a
  * MemRequest and delivers the completion to the issuing MemClient —
  * synchronously in Blocking timing (the legacy control flow,
  * bit-identical stats), or through the bound SimKernel event queue at
@@ -37,6 +44,7 @@
 #include "orgs/policy/page_heat.hh"
 #include "orgs/policy/policy_config.hh"
 #include "sim/event_queue.hh"
+#include "sim/fidelity.hh"
 #include "sim/mem_request.hh"
 #include "stats/registry.hh"
 #include "util/types.hh"
@@ -62,7 +70,7 @@ enum class OrgKind
                 ///< Section VI-D extension; see orgs/cameo_freq.hh).
     Banshee,    ///< PTE-cached page mapping + sampling-counter
                 ///< frequency placement (Yu et al., MICRO 2017; see
-                ///< orgs/banshee.hh).
+                ///< DESIGN.md §14).
 };
 
 /** Printable name of an organization kind. */
@@ -121,10 +129,11 @@ struct OrgConfig
     DramQueueConfig queues;
 
     /**
-     * First violated constraint across the shared fields and every
-     * policy sub-config; nullptr when the whole config is valid.
+     * First violated constraint across the shared fields, every policy
+     * sub-config, and the geometry @p kind needs; nullptr when the
+     * config can build an organization of @p kind.
      */
-    const char *validate() const;
+    const char *validate(OrgKind kind) const;
 };
 
 /** Base class for all stacked-DRAM usage models. */
@@ -139,33 +148,25 @@ class MemoryOrganization : public Checkpointable
     /**
      * Service one OS-physical line access.
      *
+     * At Detailed fidelity the routine issues the DRAM requests and
+     * returns the completion tick. At Functional fidelity (DESIGN.md
+     * §13) it makes exactly the same architectural state updates in
+     * the same order — tag arrays, LLT permutations, predictor
+     * training, heat counters, migration decisions, RNG draws,
+     * demand-routing counters — but issues no DRAM request, skips the
+     * timing-only counters (speculative-fetch squash/waste), and
+     * returns @p now.
+     *
      * @param now      Request time.
      * @param line     OS-physical line address.
      * @param is_write L3 writeback (true) or demand fill (false).
      * @param pc       Missing instruction address (for predictors).
      * @param core     Requesting core id.
+     * @param fidelity Detailed (timed) or Functional (state only).
      * @return Data-arrival time for reads; acceptance time for writes.
      */
     virtual Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                        std::uint32_t core) = 0;
-
-    /**
-     * Functional-fidelity twin of access() (DESIGN.md §13): performs
-     * exactly the architectural state updates of the detailed path —
-     * tag arrays, LLT permutations, predictor training, heat counters,
-     * migration decisions, RNG draws, demand-routing counters — but
-     * issues no DRAM requests, models no timing, and schedules no
-     * events. Timing-only side effects (bank/bus reservations, queue
-     * occupancy, squash/wasted-fetch accounting) are skipped; every
-     * state a later detailed run can observe is updated identically.
-     *
-     * @param line     OS-physical line address.
-     * @param is_write L3 writeback (true) or demand fill (false).
-     * @param pc       Missing instruction address (for predictors).
-     * @param core     Requesting core id.
-     */
-    virtual void accessFunctional(LineAddr line, bool is_write, InstAddr pc,
-                                  std::uint32_t core) = 0;
+                        std::uint32_t core, Fidelity fidelity) = 0;
 
     /**
      * Reset all timing state while preserving architectural state: the
@@ -179,7 +180,7 @@ class MemoryOrganization : public Checkpointable
 
     /**
      * Submit one transaction to the memory pipeline. Timing comes from
-     * the virtual access() model; completion delivery depends on the
+     * the Detailed access() model; completion delivery depends on the
      * mode: Blocking invokes @p client->onMemComplete before returning
      * (identical control flow to calling access() directly), Queued
      * schedules it on the bound event queue at the completion tick.

@@ -58,16 +58,4 @@ StaticPlacement::restore(SnapshotReader &r)
     (void)r;
 }
 
-void
-MruSwapPlacement::save(SnapshotWriter &w) const
-{
-    (void)w;
-}
-
-void
-MruSwapPlacement::restore(SnapshotReader &r)
-{
-    (void)r;
-}
-
 } // namespace cameo

@@ -118,24 +118,6 @@ class StaticPlacement final : public PagePlacementPolicy
     void restore(SnapshotReader &r) override;
 };
 
-/**
- * MRU-swap placement: stock CAMEO's policy — every off-chip access
- * swaps the fetched line with the current stacked resident of its
- * congruence group. The swap machinery itself lives in
- * CameoController's hot path (line granularity, LLT-coupled); this
- * class is the stateless, checkpointable identity of that policy in
- * the composition table.
- */
-class MruSwapPlacement final : public PlacementPolicy
-{
-  public:
-    const char *policyName() const override { return "mru-swap"; }
-
-    /** Stateless: nothing to checkpoint. */
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
-};
-
 } // namespace cameo
 
 #endif // CAMEO_ORGS_POLICY_PLACEMENT_POLICY_HH

@@ -242,9 +242,9 @@ System::functionalAccess(std::uint32_t core, const Access &acc)
     // Same component order as CpuCore::step()/finishAccess(), minus all
     // timing: VM translation (page table, frame allocation, fault
     // accounting), shared L3 (tags + replacement), then the
-    // organization's functional path for the miss — dirty writeback
-    // first, then the demand fill (write misses allocate via a read;
-    // the dirty bit lives in the L3).
+    // organization's access at functional fidelity for the miss — dirty
+    // writeback first, then the demand fill (write misses allocate via
+    // a read; the dirty bit lives in the L3).
     const Translation tr =
         vm_->translate(0, core, pageOf(acc.vaddr), acc.isWrite);
     const LineAddr phys_line =
@@ -254,9 +254,11 @@ System::functionalAccess(std::uint32_t core, const Access &acc)
     const CacheAccessResult res = llc_->access(phys_line, acc.isWrite);
     if (res.hit)
         return;
-    if (res.hasWriteback)
-        org_->accessFunctional(res.writebackLine, true, acc.pc, core);
-    org_->accessFunctional(phys_line, false, acc.pc, core);
+    if (res.hasWriteback) {
+        org_->access(0, res.writebackLine, true, acc.pc, core,
+                     Fidelity::Functional);
+    }
+    org_->access(0, phys_line, false, acc.pc, core, Fidelity::Functional);
 }
 
 void

@@ -52,7 +52,7 @@ TEST(CameoControllerTest, StackedResidentLineServedFromStacked)
 {
     ControllerFixture f(LltKind::Ideal);
     // Slot 0 lines start in stacked memory.
-    f.ctrl->access(0, 42, false, 0x400, 0);
+    f.ctrl->access(0, 42, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(f.ctrl->servicedStacked().value(), 1u);
     EXPECT_EQ(f.ctrl->servicedOffchip().value(), 0u);
     EXPECT_EQ(f.ctrl->swaps().value(), 0u);
@@ -63,14 +63,14 @@ TEST(CameoControllerTest, OffchipAccessSwapsLineIn)
     ControllerFixture f(LltKind::Ideal);
     const std::uint64_t groups = f.ctrl->groups().numGroups();
     const LineAddr line = groups + 42; // slot 1 of group 42: off-chip
-    f.ctrl->access(0, line, false, 0x400, 0);
+    f.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(f.ctrl->servicedOffchip().value(), 1u);
     EXPECT_EQ(f.ctrl->swaps().value(), 1u);
     // The line is now stacked-resident: second access hits stacked.
-    f.ctrl->access(10000, line, false, 0x400, 0);
+    f.ctrl->access(10000, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(f.ctrl->servicedStacked().value(), 1u);
     // And the displaced slot-0 line is now off-chip.
-    f.ctrl->access(20000, 42, false, 0x400, 0);
+    f.ctrl->access(20000, 42, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(f.ctrl->servicedOffchip().value(), 2u);
 }
 
@@ -81,7 +81,8 @@ TEST(CameoControllerTest, SwapIsExclusiveWithinGroup)
     // Touch all four members of group 7 in turn; the LLT entry must
     // remain a permutation and exactly one member must be stacked.
     for (std::uint32_t slot = 0; slot < 4; ++slot)
-        f.ctrl->access(slot * 10000, slot * groups + 7, false, 0x400, 0);
+        f.ctrl->access(slot * 10000, slot * groups + 7, false, 0x400, 0,
+                       Fidelity::Detailed);
     EXPECT_TRUE(f.ctrl->llt().verifyGroup(7));
     int in_stacked = 0;
     for (std::uint32_t slot = 0; slot < 4; ++slot)
@@ -97,8 +98,10 @@ TEST(CameoControllerTest, EmbeddedSlowerThanCoLocatedOnStackedHit)
     // Co-Located gets LLT+data in one access (1 unit).
     ControllerFixture emb(LltKind::Embedded);
     ControllerFixture col(LltKind::CoLocated);
-    const Tick t_emb = emb.ctrl->access(0, 42, false, 0x400, 0);
-    const Tick t_col = col.ctrl->access(0, 42, false, 0x400, 0);
+    const Tick t_emb =
+        emb.ctrl->access(0, 42, false, 0x400, 0, Fidelity::Detailed);
+    const Tick t_col =
+        col.ctrl->access(0, 42, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_GT(t_emb, t_col);
     EXPECT_EQ(emb.stacked->reads().value(), 2u); // LLT + data
     EXPECT_EQ(col.stacked->reads().value(), 1u); // one LEAD
@@ -112,9 +115,12 @@ TEST(CameoControllerTest, IdealFastestOnMiss)
     ControllerFixture col(LltKind::CoLocated);
     const std::uint64_t groups = ideal.ctrl->groups().numGroups();
     const LineAddr line = groups + 7;
-    const Tick t_ideal = ideal.ctrl->access(0, line, false, 0x400, 0);
-    const Tick t_emb = emb.ctrl->access(0, line, false, 0x400, 0);
-    const Tick t_col = col.ctrl->access(0, line, false, 0x400, 0);
+    const Tick t_ideal =
+        ideal.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    const Tick t_emb =
+        emb.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    const Tick t_col =
+        col.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_LT(t_ideal, t_emb);
     EXPECT_LT(t_ideal, t_col);
 }
@@ -127,8 +133,10 @@ TEST(CameoControllerTest, CorrectPredictionParallelizesOffchipFetch)
     ControllerFixture perfect(LltKind::CoLocated, PredictorKind::Perfect);
     const std::uint64_t groups = sam.ctrl->groups().numGroups();
     const LineAddr line = groups + 3;
-    const Tick t_sam = sam.ctrl->access(0, line, false, 0x400, 0);
-    const Tick t_perfect = perfect.ctrl->access(0, line, false, 0x400, 0);
+    const Tick t_sam =
+        sam.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    const Tick t_perfect =
+        perfect.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_LT(t_perfect, t_sam);
     // Neither wasted a fetch.
     EXPECT_EQ(sam.ctrl->wastedFetches().value(), 0u);
@@ -142,9 +150,10 @@ TEST(CameoControllerTest, WrongPredictionWastesBandwidth)
     const InstAddr pc = 0x400;
     // Train the PC to location 1 via group 9, then access a line of a
     // different group whose location is 2: predicted 1, actual 2.
-    f.ctrl->access(0, groups * 1 + 9, false, pc, 0); // loc 1 trains
+    f.ctrl->access(0, groups * 1 + 9, false, pc, 0,
+                   Fidelity::Detailed); // loc 1 trains
     const std::uint64_t off_reads = f.offchip->reads().value();
-    f.ctrl->access(50000, groups * 2 + 10, false, pc, 0);
+    f.ctrl->access(50000, groups * 2 + 10, false, pc, 0, Fidelity::Detailed);
     EXPECT_EQ(f.ctrl->wastedFetches().value(), 1u);
     // Two off-chip reads: the wasted one and the correct one.
     EXPECT_EQ(f.offchip->reads().value(), off_reads + 2);
@@ -155,7 +164,8 @@ TEST(CameoControllerTest, WritebackUpdatesInPlaceWithoutSwap)
     ControllerFixture f(LltKind::CoLocated);
     const std::uint64_t groups = f.ctrl->groups().numGroups();
     const LineAddr offchip_line = groups + 5;
-    f.ctrl->access(0, offchip_line, true, 0x400, 0); // writeback
+    f.ctrl->access(0, offchip_line, true, 0x400, 0,
+                   Fidelity::Detailed); // writeback
     EXPECT_EQ(f.ctrl->swaps().value(), 0u);
     EXPECT_EQ(f.ctrl->llt().locationOf(5, 1), 1u); // still off-chip
     EXPECT_GT(f.offchip->writes().value(), 0u);
@@ -164,7 +174,8 @@ TEST(CameoControllerTest, WritebackUpdatesInPlaceWithoutSwap)
 TEST(CameoControllerTest, WritebackToStackedResidentLine)
 {
     ControllerFixture f(LltKind::CoLocated);
-    f.ctrl->access(0, 5, true, 0x400, 0); // slot 0: stacked
+    f.ctrl->access(0, 5, true, 0x400, 0,
+                   Fidelity::Detailed); // slot 0: stacked
     EXPECT_EQ(f.ctrl->swaps().value(), 0u);
     EXPECT_GT(f.stacked->writes().value(), 0u);
     EXPECT_EQ(f.offchip->writes().value(), 0u);
@@ -176,7 +187,7 @@ TEST(CameoControllerTest, SwapTrafficBilled)
     // off-chip victim write, LEAD fill write.
     ControllerFixture f(LltKind::CoLocated);
     const std::uint64_t groups = f.ctrl->groups().numGroups();
-    f.ctrl->access(0, groups + 1, false, 0x400, 0);
+    f.ctrl->access(0, groups + 1, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(f.stacked->reads().value(), 1u);
     EXPECT_EQ(f.stacked->writes().value(), 1u);
     EXPECT_EQ(f.offchip->reads().value(), 1u);
@@ -199,7 +210,8 @@ TEST(CameoControllerTest, MispredictionsEitherBilledOrSquashed)
     for (int i = 0; i < 30000; ++i) {
         f.ctrl->access(now, rng.next(total), false,
                        0x400000 + 4 * rng.next(16),
-                       static_cast<std::uint32_t>(rng.next(2)));
+                       static_cast<std::uint32_t>(rng.next(2)),
+                       Fidelity::Detailed);
         now += 10; // aggressive rate: some fetches must squash
     }
     const auto &pred = f.ctrl->predictor();
@@ -219,8 +231,10 @@ TEST(CameoControllerTest, IdleMispredictionIsBilled)
     ControllerFixture f(LltKind::CoLocated, PredictorKind::Llp);
     const std::uint64_t groups = f.ctrl->groups().numGroups();
     const InstAddr pc = 0x400;
-    f.ctrl->access(0, groups * 1 + 9, false, pc, 0); // train loc 1
-    f.ctrl->access(1'000'000, groups * 2 + 10, false, pc, 0); // idle
+    f.ctrl->access(0, groups * 1 + 9, false, pc, 0,
+                   Fidelity::Detailed); // train loc 1
+    f.ctrl->access(1'000'000, groups * 2 + 10, false, pc, 0,
+                   Fidelity::Detailed); // idle
     EXPECT_EQ(f.ctrl->wastedFetches().value(), 1u);
     EXPECT_EQ(f.ctrl->squashedFetches().value(), 0u);
 }
@@ -238,8 +252,8 @@ TEST(CameoControllerTest, EmbeddedLltReserveSizing)
 TEST(CameoControllerTest, EmbeddedLltLookupsCounted)
 {
     ControllerFixture f(LltKind::Embedded);
-    f.ctrl->access(0, 3, false, 0x400, 0);
-    f.ctrl->access(1000, 4, false, 0x400, 0);
+    f.ctrl->access(0, 3, false, 0x400, 0, Fidelity::Detailed);
+    f.ctrl->access(1000, 4, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(f.ctrl->llt().numGroups(),
               f.ctrl->groups().numGroups());
     // Each demand access consulted the embedded table once.
@@ -254,9 +268,9 @@ TEST(CameoControllerTest, ManyRandomAccessesKeepInvariants)
     Tick now = 0;
     for (int i = 0; i < 20000; ++i) {
         const LineAddr line = rng.next(total);
-        f.ctrl->access(now, line, rng.chance(0.3),
-                       0x400000 + 4 * rng.next(64),
-                       static_cast<std::uint32_t>(rng.next(2)));
+        f.ctrl->access(now, line, rng.chance(0.3), 0x400000 + 4 * rng.next(64),
+                       static_cast<std::uint32_t>(rng.next(2)),
+                       Fidelity::Detailed);
         now += 30;
     }
     // Spot-check permutations.

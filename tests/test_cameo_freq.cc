@@ -34,7 +34,7 @@ TEST(CameoFreqTest, ColdPageServicedInPlace)
     const std::uint64_t groups =
         org.cameo()->groups().numGroups();
     // One touch of an off-chip line: page not yet hot -> no swap.
-    org.access(0, groups + 7, false, 0x400, 0);
+    org.access(0, groups + 7, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.cameo()->swaps().value(), 0u);
     EXPECT_EQ(org.cameo()->swapsFiltered().value(), 1u);
     // The line is still off-chip.
@@ -51,7 +51,8 @@ TEST(CameoFreqTest, HotPageAdmitsSwaps)
     // lines [groups + 0, groups + 63] share OS page groups/64.
     Tick now = 0;
     for (std::uint32_t i = 0; i < CameoFreqOrg::kHotThreshold + 4; ++i) {
-        org.access(now, groups + (i % kLinesPerPage), false, 0x400, 0);
+        org.access(now, groups + (i % kLinesPerPage), false, 0x400, 0,
+                   Fidelity::Detailed);
         now += 1000;
     }
     EXPECT_GT(org.cameo()->swaps().value(), 0u);
@@ -73,8 +74,8 @@ TEST(CameoFreqTest, FilterSavesVictimWriteBandwidth)
         for (std::uint32_t t = 0; t + 1 < CameoFreqOrg::kHotThreshold;
              ++t) {
             const LineAddr line = groups + p * kLinesPerPage + t;
-            stock.access(now, line, false, 0x400, 0);
-            filtered.access(now, line, false, 0x400, 0);
+            stock.access(now, line, false, 0x400, 0, Fidelity::Detailed);
+            filtered.access(now, line, false, 0x400, 0, Fidelity::Detailed);
             now += 40;
         }
     }

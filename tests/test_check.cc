@@ -407,7 +407,8 @@ TEST_F(LltPropertyTest, RandomTracesPreservePermutationUnderEveryLltKind)
                     : rng.next(total);
             f.ctrl->access(now, line, rng.chance(0.25),
                            0x400 + rng.next(64) * 4,
-                           static_cast<std::uint32_t>(rng.next(4)));
+                           static_cast<std::uint32_t>(rng.next(4)),
+                           Fidelity::Detailed);
         }
         EXPECT_GT(f.ctrl->swaps().value(), 0u);
 
@@ -432,7 +433,8 @@ TEST_F(LltPropertyTest, CorruptionIsCaughtNotSilent)
     PropertyFixture f(LltKind::Ideal);
     const std::uint64_t groups = f.ctrl->groups().numGroups();
     for (std::uint64_t g = 0; g < 64; ++g)
-        f.ctrl->access(1000 * g, groups + g, false, 0x400, 0);
+        f.ctrl->access(1000 * g, groups + g, false, 0x400, 0,
+                       Fidelity::Detailed);
     ASSERT_EQ(f.ctrl->auditLlt(), 0u);
     AuditSink::global().reset();
 

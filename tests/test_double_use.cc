@@ -5,7 +5,8 @@
  * magically enlarged by the stacked capacity. The suite pins the three
  * properties that make it the bound — the OS sees stacked + off-chip
  * bytes, capacity-limited workloads fault less than under a pure
- * cache, and the functional twin tracks the detailed path exactly.
+ * cache, and functional-fidelity accesses track the detailed state
+ * exactly.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "orgs/alloy_cache.hh"
-#include "orgs/double_use.hh"
+#include "orgs/memory_organization.hh"
 #include "snapshot/snapshot.hh"
 #include "system/config.hh"
 #include "system/system.hh"
@@ -50,25 +51,25 @@ tagBytes(const AlloyCacheOrg &org)
 TEST(DoubleUseTest, VisibleBytesIncludeStackedCapacity)
 {
     const OrgConfig c = smallConfig();
-    DoubleUseOrg dbl(c);
+    const auto dbl = makeOrganization(OrgKind::DoubleUse, c);
     AlloyCacheOrg cache(c, c.offchipBytes);
     // The cache hides the stacked DRAM from the OS; DoubleUse exposes
     // it as extra main memory while keeping the cache.
     EXPECT_EQ(cache.visibleBytes(), c.offchipBytes);
-    EXPECT_EQ(dbl.visibleBytes(), c.stackedBytes + c.offchipBytes);
-    EXPECT_EQ(dbl.visibleBytes(),
-              cache.visibleBytes() + c.stackedBytes);
+    EXPECT_EQ(dbl->visibleBytes(), c.stackedBytes + c.offchipBytes);
+    EXPECT_EQ(dbl->visibleBytes(), cache.visibleBytes() + c.stackedBytes);
     // The backing module really is the enlarged one: addresses past
     // the off-chip capacity are legal device lines.
-    EXPECT_EQ(dbl.offchipModule().capacityBytes(),
+    EXPECT_EQ(dbl->offchipModule().capacityBytes(),
               c.stackedBytes + c.offchipBytes);
-    EXPECT_EQ(dbl.name(), "DoubleUse");
+    EXPECT_EQ(dbl->name(), "DoubleUse");
 }
 
 TEST(DoubleUseTest, CacheGeometryUnchangedByEnlargedBacking)
 {
     const OrgConfig c = smallConfig();
-    DoubleUseOrg dbl(c);
+    const auto owner = makeOrganization(OrgKind::DoubleUse, c);
+    const auto &dbl = dynamic_cast<const AlloyCacheOrg &>(*owner);
     AlloyCacheOrg cache(c, c.offchipBytes);
     // The stacked cache itself is sized by stackedBytes only — the
     // idealism is all in the backing store.
@@ -99,8 +100,10 @@ TEST(DoubleUseTest, CapacityLimitedWorkloadFaultsLessThanCache)
 TEST(DoubleUseTest, FunctionalTwinMatchesDetailedState)
 {
     const OrgConfig c = smallConfig();
-    DoubleUseOrg detailed(c);
-    DoubleUseOrg functional(c);
+    const auto detailed_org = makeOrganization(OrgKind::DoubleUse, c);
+    const auto functional_org = makeOrganization(OrgKind::DoubleUse, c);
+    auto &detailed = dynamic_cast<AlloyCacheOrg &>(*detailed_org);
+    auto &functional = dynamic_cast<AlloyCacheOrg &>(*functional_org);
     const std::uint64_t lines =
         detailed.offchipModule().capacityLines();
 
@@ -112,8 +115,11 @@ TEST(DoubleUseTest, FunctionalTwinMatchesDetailedState)
         const InstAddr pc = 0x400000 + rng.next(512) * 4;
         const std::uint32_t core =
             static_cast<std::uint32_t>(rng.next(c.numCores));
-        now += detailed.access(now, line, is_write, pc, core);
-        functional.accessFunctional(line, is_write, pc, core);
+        ASSERT_EQ(functional.access(now, line, is_write, pc, core,
+                                    Fidelity::Functional),
+                  now);
+        now +=
+            detailed.access(now, line, is_write, pc, core, Fidelity::Detailed);
     }
 
     // Identical cache-architectural outcome...

@@ -10,12 +10,9 @@
 #include "orgs/alloy_cache.hh"
 #include "orgs/baseline.hh"
 #include "orgs/cameo_org.hh"
-#include "orgs/double_use.hh"
+#include "orgs/composed_org.hh"
 #include "orgs/memory_organization.hh"
-#include "orgs/tlm_dynamic.hh"
-#include "orgs/tlm_freq.hh"
-#include "orgs/tlm_oracle.hh"
-#include "orgs/tlm_static.hh"
+#include "orgs/policy/epoch_freq_placement.hh"
 #include "util/rng.hh"
 
 namespace cameo
@@ -41,7 +38,7 @@ TEST(OrgFactoryTest, BuildsEveryKind)
     for (OrgKind kind : allOrgKinds()) {
         const auto org = makeOrganization(kind, c);
         ASSERT_NE(org, nullptr) << orgKindName(kind);
-        EXPECT_FALSE(org->name().empty());
+        EXPECT_EQ(org->name(), orgKindName(kind));
         EXPECT_GT(org->visibleBytes(), 0u);
     }
 }
@@ -83,8 +80,8 @@ TEST(OrgVisibilityTest, CapacityAccountingMatchesPaper)
 TEST(BaselineOrgTest, RoutesEverythingOffchip)
 {
     BaselineOrg org(smallConfig());
-    org.access(0, 100, false, 0x400, 0);
-    org.access(10, 200, true, 0x400, 1);
+    org.access(0, 100, false, 0x400, 0, Fidelity::Detailed);
+    org.access(10, 200, true, 0x400, 1, Fidelity::Detailed);
     EXPECT_EQ(org.offchipModule().reads().value(), 1u);
     EXPECT_EQ(org.offchipModule().writes().value(), 1u);
     EXPECT_EQ(org.stackedModule(), nullptr);
@@ -93,9 +90,9 @@ TEST(BaselineOrgTest, RoutesEverythingOffchip)
 TEST(AlloyCacheTest, MissFillHit)
 {
     AlloyCacheOrg org(smallConfig(), smallConfig().offchipBytes);
-    org.access(0, 1234, false, 0x400, 0);
+    org.access(0, 1234, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.misses().value(), 1u);
-    org.access(100000, 1234, false, 0x400, 0);
+    org.access(100000, 1234, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.hits().value(), 1u);
     EXPECT_DOUBLE_EQ(org.hitRate(), 0.5);
 }
@@ -103,7 +100,7 @@ TEST(AlloyCacheTest, MissFillHit)
 TEST(AlloyCacheTest, TadBurstBytes)
 {
     AlloyCacheOrg org(smallConfig(), smallConfig().offchipBytes);
-    org.access(0, 1, false, 0x400, 0);
+    org.access(0, 1, false, 0x400, 0, Fidelity::Detailed);
     // One TAD read burst (80B) on the miss path.
     EXPECT_EQ(org.stackedModule()->readBytes().value(),
               AlloyCacheOrg::kTadBurstBytes);
@@ -123,9 +120,10 @@ TEST(AlloyCacheTest, ConflictEvictsPriorLine)
     AlloyCacheOrg org(c, c.offchipBytes);
     const LineAddr a = 77;
     const LineAddr b = 77 + org.numSets(); // same set
-    org.access(0, a, false, 0x400, 0);
-    org.access(1000, b, false, 0x400, 0);
-    org.access(2000, a, false, 0x400, 0); // must miss again
+    org.access(0, a, false, 0x400, 0, Fidelity::Detailed);
+    org.access(1000, b, false, 0x400, 0, Fidelity::Detailed);
+    org.access(2000, a, false, 0x400, 0,
+               Fidelity::Detailed); // must miss again
     EXPECT_EQ(org.misses().value(), 3u);
     EXPECT_EQ(org.hits().value(), 0u);
 }
@@ -136,23 +134,25 @@ TEST(AlloyCacheTest, DirtyVictimWrittenBack)
     AlloyCacheOrg org(c, c.offchipBytes);
     const LineAddr a = 77;
     const LineAddr b = 77 + org.numSets();
-    org.access(0, a, false, 0x400, 0);
-    org.access(1000, a, true, 0x400, 0); // writeback dirties the TAD
+    org.access(0, a, false, 0x400, 0, Fidelity::Detailed);
+    org.access(1000, a, true, 0x400, 0,
+               Fidelity::Detailed); // writeback dirties the TAD
     const std::uint64_t writes = org.offchipModule().writes().value();
-    org.access(2000, b, false, 0x400, 0); // evicts dirty a
+    org.access(2000, b, false, 0x400, 0, Fidelity::Detailed); // evicts dirty a
     EXPECT_EQ(org.offchipModule().writes().value(), writes + 1);
 }
 
 TEST(TlmStaticTest, RoutesByDevicePage)
 {
-    TlmStaticOrg org(smallConfig());
+    const auto owner = makeOrganization(OrgKind::TlmStatic, smallConfig());
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
     // Device pages below stackedPages go to stacked DRAM.
     const LineAddr stacked_line = 3; // page 0
     const LineAddr offchip_line =
         (org.stackedPages() + 1) * kLinesPerPage + 3;
-    org.access(0, stacked_line, false, 0x400, 0);
+    org.access(0, stacked_line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.stackedModule()->reads().value(), 1u);
-    org.access(10, offchip_line, false, 0x400, 0);
+    org.access(10, offchip_line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.offchipModule().reads().value(), 1u);
     EXPECT_EQ(org.pageMigrations().value(), 0u);
 }
@@ -161,18 +161,19 @@ TEST(TlmDynamicTest, MigratesPageAfterThresholdTouches)
 {
     OrgConfig c = smallConfig();
     c.migrate.migrateThreshold = 2;
-    TlmDynamicOrg org(c);
+    const auto owner = makeOrganization(OrgKind::TlmDynamic, c);
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
     const PageAddr phys_page = org.stackedPages() + 5; // off-chip
     const LineAddr line = phys_page * kLinesPerPage;
-    org.access(0, line, false, 0x400, 0);
+    org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.pageMigrations().value(), 0u); // first touch: no
-    org.access(1000, line + 1, false, 0x400, 0);
+    org.access(1000, line + 1, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.pageMigrations().value(), 1u); // second: migrate
     // The page is now in stacked memory.
-    EXPECT_LT(org.devicePageOfPublic(phys_page), org.stackedPages());
+    EXPECT_LT(org.devicePageOf(phys_page), org.stackedPages());
     // And some stacked page was displaced off-chip (remap stays a
     // bijection: exactly one page out).
-    org.access(5000, line + 2, false, 0x400, 0);
+    org.access(5000, line + 2, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.stackedModule()->reads().value() > 0, true);
 }
 
@@ -180,10 +181,11 @@ TEST(TlmDynamicTest, SwapBillsSixteenKilobytes)
 {
     OrgConfig c = smallConfig();
     c.migrate.migrateThreshold = 1;
-    TlmDynamicOrg org(c);
+    const auto owner = makeOrganization(OrgKind::TlmDynamic, c);
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
     const PageAddr phys_page = org.stackedPages() + 5;
     const LineAddr line = phys_page * kLinesPerPage;
-    org.access(0, line, false, 0x400, 0);
+    org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_EQ(org.pageMigrations().value(), 1u);
     // Section II-C: both modules read and write 4KB each.
     EXPECT_EQ(org.stackedModule()->readBytes().value(), kPageBytes);
@@ -198,20 +200,23 @@ TEST(TlmFreqTest, EpochMovesHotPageIn)
 {
     OrgConfig c = smallConfig();
     c.freq.epochAccesses = 64;
-    TlmFreqOrg org(c);
+    const auto owner = makeOrganization(OrgKind::TlmFreq, c);
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
     const PageAddr hot = org.stackedPages() + 9; // starts off-chip
     for (int i = 0; i < 64; ++i)
-        org.access(i * 100, hot * kLinesPerPage + (i % 8), false, 0x400,
-                   0);
-    EXPECT_EQ(org.epochs().value(), 1u);
-    EXPECT_LT(org.devicePageOfPublic(hot), org.stackedPages());
+        org.access(i * 100, hot * kLinesPerPage + (i % 8), false, 0x400, 0,
+                   Fidelity::Detailed);
+    const auto &freq =
+        dynamic_cast<const EpochFrequencyPlacement &>(org.placementPolicy());
+    EXPECT_EQ(freq.epochs().value(), 1u);
+    EXPECT_LT(org.devicePageOf(hot), org.stackedPages());
     EXPECT_GT(org.pageMigrations().value(), 0u);
 }
 
 TEST(TlmOracleTest, HotPagePlacedInStackedAtMapTime)
 {
-    OrgConfig c = smallConfig();
-    TlmOracleOrg org(c);
+    const auto owner = makeOrganization(OrgKind::TlmOracle, smallConfig());
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
     PageHeatMap heat;
     heat[pageHeatKey(0, 0x100)] = 1000; // hot virtual page
     heat[pageHeatKey(0, 0x200)] = 1;    // cold
@@ -222,7 +227,7 @@ TEST(TlmOracleTest, HotPagePlacedInStackedAtMapTime)
     const auto off_frame =
         static_cast<std::uint32_t>(org.stackedPages() + 3);
     org.onPageMapped(off_frame, 0, 0x100);
-    EXPECT_LT(org.devicePageOfPublic(off_frame), org.stackedPages());
+    EXPECT_LT(org.devicePageOf(off_frame), org.stackedPages());
     EXPECT_EQ(org.pageMigrations().value(), 0u); // oracular: free
 
     // A cold page maps off-chip and stays there (all stacked slots
@@ -232,7 +237,7 @@ TEST(TlmOracleTest, HotPagePlacedInStackedAtMapTime)
         static_cast<std::uint32_t>(org.stackedPages() + 4);
     org.onPageMapped(off_frame2, 0, 0x200);
     // 0x200 (heat 1) displaces a zero-heat identity page, not 0x100.
-    EXPECT_LT(org.devicePageOfPublic(off_frame), org.stackedPages());
+    EXPECT_LT(org.devicePageOf(off_frame), org.stackedPages());
 }
 
 TEST(CameoOrgTest, VariantNames)
@@ -284,7 +289,8 @@ TEST(OrgStressTest, RandomTrafficOnEveryOrg)
             const Tick done = org->access(now, rng.next(lines), is_write,
                                           0x400000 + 4 * rng.next(64),
                                           static_cast<std::uint32_t>(
-                                              rng.next(c.numCores)));
+                                              rng.next(c.numCores)),
+                                          Fidelity::Detailed);
             EXPECT_GE(done, now);
             if (!is_write)
                 last_read_done = done;

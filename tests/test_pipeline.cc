@@ -138,7 +138,8 @@ TEST(PipelineBlockingTest, SubmitMatchesLegacyAccessForEveryOrg)
         std::size_t expected_deliveries = 0;
         for (const TestReq &r : reqs) {
             const Tick t_legacy =
-                legacy->access(r.now, r.line, r.isWrite, r.pc, r.core);
+                legacy->access(r.now, r.line, r.isWrite, r.pc, r.core,
+                               Fidelity::Detailed);
             const Tick t_piped =
                 piped->submit(r.now, r.line, r.isWrite, r.pc, r.core,
                               r.isWrite ? kNoTag : 1,

@@ -24,7 +24,6 @@
 #include "orgs/memory_organization.hh"
 #include "orgs/policy/epoch_freq_placement.hh"
 #include "orgs/policy/freq_admission_placement.hh"
-#include "orgs/policy/llt_line_swap_mapping.hh"
 #include "orgs/policy/mapping_policy.hh"
 #include "orgs/policy/nth_touch_placement.hh"
 #include "orgs/policy/oracle_heat_placement.hh"
@@ -34,8 +33,6 @@
 #include "orgs/policy/pte_cached_mapping.hh"
 #include "orgs/policy/sampling_freq_placement.hh"
 #include "orgs/policy/tad_tag_mapping.hh"
-#include "orgs/tlm_dynamic.hh"
-#include "orgs/tlm_freq.hh"
 #include "snapshot/snapshot.hh"
 #include "util/rng.hh"
 
@@ -219,57 +216,6 @@ TEST(PageRemapMappingTest, RestoreRejectsSizeMismatch)
     EXPECT_FALSE(restoreFromBytes(small, saveBytes(big)));
 }
 
-TEST(LltLineSwapMappingTest, MatchesReferencePermutationModel)
-{
-    constexpr std::uint64_t kStackedLines = 64;
-    constexpr std::uint64_t kTotalLines = 256; // K = 4
-    LltLineSwapMapping map(kStackedLines, kTotalLines);
-    ASSERT_EQ(map.numGroups(), kStackedLines);
-    ASSERT_EQ(map.groupSize(), 4u);
-
-    // Reference: per group, the location of each slot (slot s starts at
-    // location s; location 0 is the stacked way).
-    const std::uint64_t groups = map.numGroups();
-    const std::uint32_t k = map.groupSize();
-    std::vector<std::vector<std::uint32_t>> loc(
-        groups, std::vector<std::uint32_t>(k));
-    for (auto &g : loc)
-        for (std::uint32_t s = 0; s < k; ++s)
-            g[s] = s;
-
-    const auto ref_device = [&](LineAddr line) {
-        const std::uint64_t group = line % groups;
-        const std::uint32_t slot =
-            static_cast<std::uint32_t>(line / groups);
-        const std::uint32_t l = loc[group][slot];
-        return l == 0 ? group : groups + (l - 1) * groups + group;
-    };
-
-    Rng rng(99);
-    for (int i = 0; i < 2000; ++i) {
-        const LineAddr line = rng.next(kTotalLines);
-        map.swapWithStacked(line);
-        const std::uint64_t group = line % groups;
-        const std::uint32_t slot =
-            static_cast<std::uint32_t>(line / groups);
-        // Reference swap: whatever slot held location 0 takes ours.
-        for (std::uint32_t s = 0; s < k; ++s) {
-            if (loc[group][s] == 0) {
-                std::swap(loc[group][s], loc[group][slot]);
-                break;
-            }
-        }
-        ASSERT_TRUE(map.inStacked(line));
-
-        const LineAddr probe = rng.next(kTotalLines);
-        ASSERT_EQ(map.deviceLineOf(probe), ref_device(probe));
-        ASSERT_EQ(map.inStacked(probe),
-                  loc[probe % groups][probe / groups] == 0);
-    }
-    LltLineSwapMapping fresh(kStackedLines, kTotalLines);
-    expectRoundTripIdentical(map, fresh);
-}
-
 TEST(TadTagMappingTest, TracksResidencyAndRoundTrips)
 {
     TadTagMapping tags(128);
@@ -390,7 +336,8 @@ TEST(PteCachedMappingTest, FunctionalTwinMatchesDetailedState)
 TEST(NthTouchPlacementTest, MatchesTlmDynamicOrgOnSameStream)
 {
     OrgConfig c = smallConfig();
-    TlmDynamicOrg org(c);
+    const auto owner = makeOrganization(OrgKind::TlmDynamic, c);
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
 
     const std::uint64_t stacked_pages = c.stackedBytes / kPageBytes;
     const std::uint64_t total_pages =
@@ -405,7 +352,7 @@ TEST(NthTouchPlacementTest, MatchesTlmDynamicOrgOnSameStream)
     for (int i = 0; i < 30000; ++i) {
         const LineAddr line = rng.next(total_lines);
         const bool is_write = rng.chance(0.3);
-        org.access(now, line, is_write, 0x400, 0);
+        org.access(now, line, is_write, 0x400, 0, Fidelity::Detailed);
 
         const PageAddr phys = lineToPage(line);
         const std::uint64_t dev = ctx.devicePageOf(phys);
@@ -417,8 +364,7 @@ TEST(NthTouchPlacementTest, MatchesTlmDynamicOrgOnSameStream)
     EXPECT_EQ(org.pageMigrations().value(), ctx.swapsBilled);
     EXPECT_GT(ctx.swapsBilled, 0u);
     for (PageAddr p = 0; p < total_pages; ++p)
-        ASSERT_EQ(org.devicePageOfPublic(p), ctx.devicePageOf(p))
-            << "page " << p;
+        ASSERT_EQ(org.devicePageOf(p), ctx.devicePageOf(p)) << "page " << p;
 
     NthTouchMigratePlacement fresh(stacked_pages, total_pages, c.migrate,
                                    c.seed);
@@ -428,7 +374,8 @@ TEST(NthTouchPlacementTest, MatchesTlmDynamicOrgOnSameStream)
 TEST(EpochFreqPlacementTest, MatchesTlmFreqOrgOnSameStream)
 {
     OrgConfig c = smallConfig();
-    TlmFreqOrg org(c);
+    const auto owner = makeOrganization(OrgKind::TlmFreq, c);
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
 
     const std::uint64_t stacked_pages = c.stackedBytes / kPageBytes;
     const std::uint64_t total_pages =
@@ -448,19 +395,20 @@ TEST(EpochFreqPlacementTest, MatchesTlmFreqOrgOnSameStream)
             page * kLinesPerPage + rng.next(kLinesPerPage);
         ASSERT_LT(line, total_lines);
         const bool is_write = rng.chance(0.3);
-        org.access(now, line, is_write, 0x400, 0);
+        org.access(now, line, is_write, 0x400, 0, Fidelity::Detailed);
 
         const std::uint64_t dev = ctx.devicePageOf(page);
         policy.onAccess(ctx, now, page, dev, is_write,
                         Fidelity::Functional);
         now += 25;
     }
-    EXPECT_EQ(org.epochs().value(), policy.epochs().value());
+    const auto &org_policy =
+        dynamic_cast<const EpochFrequencyPlacement &>(org.placementPolicy());
+    EXPECT_EQ(org_policy.epochs().value(), policy.epochs().value());
     EXPECT_GT(policy.epochs().value(), 0u);
     EXPECT_EQ(org.pageMigrations().value(), ctx.swapsBilled);
     for (PageAddr p = 0; p < total_pages; ++p)
-        ASSERT_EQ(org.devicePageOfPublic(p), ctx.devicePageOf(p))
-            << "page " << p;
+        ASSERT_EQ(org.devicePageOf(p), ctx.devicePageOf(p)) << "page " << p;
 
     EpochFrequencyPlacement fresh(stacked_pages, total_pages,
                                   c.freq.epochAccesses);
@@ -579,12 +527,8 @@ TEST(StatelessPolicyTest, NamesAndEmptyCheckpoints)
 {
     StaticPlacement stat;
     EXPECT_STREQ(stat.policyName(), "static");
-    MruSwapPlacement mru;
-    EXPECT_STREQ(mru.policyName(), "mru-swap");
     StaticPlacement stat2;
     expectRoundTripIdentical(stat, stat2);
-    MruSwapPlacement mru2;
-    expectRoundTripIdentical(mru, mru2);
 }
 
 TEST(FreqAdmissionPlacementTest, AdmitsOnlyProvenHotPages)
@@ -658,35 +602,73 @@ TEST(OrgCompositionTest, TableMatchesLivePolicyNames)
 TEST(OrgConfigValidateTest, AcceptsDefaultsRejectsBrokenPoints)
 {
     OrgConfig c = smallConfig();
-    EXPECT_EQ(c.validate(), nullptr);
+    for (const OrgKind kind : allOrgKinds())
+        EXPECT_EQ(c.validate(kind), nullptr) << orgKindName(kind);
 
+    // Broken for every kind.
+    const auto rejected_by_all = [](const OrgConfig &cfg) {
+        for (const OrgKind kind : allOrgKinds())
+            EXPECT_STRNE(cfg.validate(kind), nullptr) << orgKindName(kind);
+    };
     OrgConfig bad = c;
     bad.stackedBytes = 0;
-    EXPECT_STRNE(bad.validate(), nullptr);
+    rejected_by_all(bad);
+
+    bad = c;
+    bad.offchipBytes = 0;
+    rejected_by_all(bad);
 
     bad = c;
     bad.offchipBytes = kPageBytes + 1;
-    EXPECT_STRNE(bad.validate(), nullptr);
+    rejected_by_all(bad);
 
     bad = c;
     bad.numCores = 0;
-    EXPECT_STRNE(bad.validate(), nullptr);
+    rejected_by_all(bad);
 
     bad = c;
     bad.llt.llpTableEntries = 0;
-    EXPECT_STRNE(bad.validate(), nullptr);
+    rejected_by_all(bad);
 
     bad = c;
     bad.freq.epochAccesses = 0;
-    EXPECT_STRNE(bad.validate(), nullptr);
+    rejected_by_all(bad);
 
     bad = c;
     bad.migrate.migrateThreshold = 0;
-    EXPECT_STRNE(bad.validate(), nullptr);
+    rejected_by_all(bad);
 
     bad = c;
     bad.banshee.pteCacheEntries = 48; // not a power of two
-    EXPECT_STRNE(bad.validate(), nullptr);
+    rejected_by_all(bad);
+
+    // Congruence-group geometry: only the CAMEO kinds need it; every
+    // other kind keeps accepting these points.
+    const auto rejected_by_cameo = [](const OrgConfig &cfg) {
+        for (const OrgKind kind : allOrgKinds()) {
+            const bool cameo =
+                kind == OrgKind::Cameo || kind == OrgKind::CameoFreq;
+            EXPECT_EQ(cfg.validate(kind) != nullptr, cameo)
+                << orgKindName(kind);
+        }
+    };
+    bad = c;
+    bad.stackedBytes = 3 << 20; // 3MB: not a power-of-two line count
+    bad.offchipBytes = 6 << 20;
+    rejected_by_cameo(bad);
+
+    bad = c;
+    bad.offchipBytes = 16 << 20; // K = 17
+    rejected_by_cameo(bad);
+
+    bad = c;
+    bad.offchipBytes = (5 << 20) / 2; // K = 3.5
+    rejected_by_cameo(bad);
+
+    OrgConfig widest = c;
+    widest.offchipBytes = 15 << 20; // K = 16, the LLT's limit
+    for (const OrgKind kind : allOrgKinds())
+        EXPECT_EQ(widest.validate(kind), nullptr) << orgKindName(kind);
 }
 
 TEST(OrgSetPageHeatTest, NonOracleOrgsReportNotAnError)

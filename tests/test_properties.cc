@@ -15,7 +15,7 @@
 #include "core/cameo_controller.hh"
 #include "core/congruence_group.hh"
 #include "core/line_location_table.hh"
-#include "orgs/tlm_dynamic.hh"
+#include "orgs/composed_org.hh"
 #include "system/config.hh"
 #include "system/system.hh"
 #include "util/rng.hh"
@@ -134,18 +134,20 @@ TEST(TlmPropertyTest, RemapStaysBijective)
     c.stackedBytes = 256 << 10;
     c.offchipBytes = 768 << 10;
     c.migrate.migrateThreshold = 1;
-    TlmDynamicOrg org(c);
+    const auto owner = makeOrganization(OrgKind::TlmDynamic, c);
+    auto &org = dynamic_cast<ComposedOrg &>(*owner);
     Rng rng(11);
     const std::uint64_t lines = org.visibleBytes() / kLineBytes;
     Tick now = 0;
     for (int i = 0; i < 30000; ++i) {
-        org.access(now, rng.next(lines), rng.chance(0.3), 0x400, 0);
+        org.access(now, rng.next(lines), rng.chance(0.3), 0x400, 0,
+                   Fidelity::Detailed);
         now += 20;
     }
     // phys -> device must be a bijection.
     std::set<std::uint64_t> devices;
     for (PageAddr p = 0; p < org.totalPages(); ++p)
-        ASSERT_TRUE(devices.insert(org.devicePageOfPublic(p)).second);
+        ASSERT_TRUE(devices.insert(org.devicePageOf(p)).second);
     EXPECT_EQ(devices.size(), org.totalPages());
     EXPECT_EQ(*devices.rbegin(), org.totalPages() - 1);
 }
@@ -167,7 +169,8 @@ TEST(CameoPropertyTest, EveryLineRemainsReachable)
     for (int i = 0; i < 50000; ++i) {
         ctrl.access(now, rng.next((1 << 20) / 64), rng.chance(0.25),
                     0x400000 + 4 * rng.next(128),
-                    static_cast<std::uint32_t>(rng.next(2)));
+                    static_cast<std::uint32_t>(rng.next(2)),
+                    Fidelity::Detailed);
         now += 30;
     }
     const auto &groups = ctrl.groups();

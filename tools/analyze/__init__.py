@@ -13,9 +13,9 @@ passes themselves live under ``passes/`` and are registered in
                  (<chrono>, <random>, <ctime>) into simulation code
   audit-coverage mutation sites of audited structures (LLT, DRAM
                  queues, kernel clock) must sit near a CAMEO_AUDIT
-  conventions    the seven legacy tools/lint.py rules (guards, @file
-                 docs, direct nondeterminism, hygiene, hot-path
-                 containers, DRAM pipeline entry, generator use)
+  conventions    seven repo-convention rules (guards, @file docs,
+                 direct nondeterminism, hygiene, hot-path containers,
+                 DRAM pipeline entry, generator use)
 
 Findings print as ``file:line: [rule] message`` and can be emitted as
 SARIF 2.1.0 (``--sarif``).  A fingerprint-stable baseline

@@ -1,5 +1,5 @@
-"""Repo-convention pass: the seven legacy ``tools/lint.py`` rules,
-ported onto the shared lexer so one tool owns repo conventions.
+"""Repo-convention pass: seven rules no compiler enforces, on the
+shared lexer so one tool owns repo conventions.
 
   conventions/include-guard     CAMEO_<DIR>_<FILE>_HH guards
   conventions/file-doc          Doxygen @file comment in src headers
