@@ -6,14 +6,15 @@
  * sources (fresh generator, arena replay, mmap'd packed trace file).
  *
  * The sweep deliberately includes TLM-Oracle: without the arena every
- * oracle job generates its streams twice (page-heat pre-pass + run)
- * and re-profiles the heat histogram, so the arena's memoization is
- * visible exactly where real sweeps pay for it. The config axis varies
- * off-chip capacity, which does not enter GeneratorParams — all points
- * of one workload share one set of per-core arenas. Runs use a warmup
- * window of half the measured accesses: the direct path fast-forwards
- * by generating and discarding those records per job, while arena
- * replay jumps over them through the packed trace's checkpoint table.
+ * oracle job generates its streams twice (page-heat pre-pass + run),
+ * while with it both passes replay the recorded arena, so the arena's
+ * payoff is visible exactly where real sweeps pay for it. The config
+ * axis varies off-chip capacity, which does not enter GeneratorParams —
+ * all points of one workload share one set of per-core arenas. Runs use
+ * a warmup window of half the measured accesses: the direct path
+ * fast-forwards by generating and discarding those records per job,
+ * while arena replay jumps over them through the packed trace's
+ * checkpoint table.
  *
  * All four phases must produce bit-identical results; the bench exits
  * non-zero if any field of any run differs.
@@ -285,10 +286,8 @@ main()
                             : "RESULTS DIVERGED")
               << ")\n"
               << "arena: " << arena_stats.recordings << " recordings, "
-              << arena_stats.hits << " hits, " << arena_stats.heatMisses
-              << " heat profiles, " << arena_stats.heatHits
-              << " heat hits, " << arena_stats.residentBytes / 1024
-              << " KiB resident\n\n";
+              << arena_stats.hits << " hits, "
+              << arena_stats.residentBytes / 1024 << " KiB resident\n\n";
 
     // Micro: raw refill throughput of the three stream sources over
     // the same workload/params/seed.
@@ -378,17 +377,14 @@ main()
         "  \"speedup_jobs8\": %.3f,\n"
         "  \"arena_stats\": {\"recordings\": %llu, \"hits\": %llu, "
         "\"disk_loads\": %llu, \"evictions\": %llu, "
-        "\"resident_bytes\": %llu, \"heat_hits\": %llu, "
-        "\"heat_misses\": %llu},\n"
+        "\"resident_bytes\": %llu},\n"
         "  \"micro\": [\n",
         speedup1, speedup8,
         static_cast<unsigned long long>(arena_stats.recordings),
         static_cast<unsigned long long>(arena_stats.hits),
         static_cast<unsigned long long>(arena_stats.diskLoads),
         static_cast<unsigned long long>(arena_stats.evictions),
-        static_cast<unsigned long long>(arena_stats.residentBytes),
-        static_cast<unsigned long long>(arena_stats.heatHits),
-        static_cast<unsigned long long>(arena_stats.heatMisses));
+        static_cast<unsigned long long>(arena_stats.residentBytes));
     out << tail;
     for (std::size_t i = 0; i < micro.size(); ++i) {
         char line[224];

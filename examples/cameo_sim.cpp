@@ -49,8 +49,8 @@
  *   --restore     restore a snapshot before running: the run resumes
  *                 where the checkpoint paused and finishes bit-identical
  *                 to the uninterrupted run. The configuration must match
- *                 the snapshot's (--accesses may be larger, enabling
- *                 warm-started extensions; --warmup must be the value
+ *                 the snapshot's (--accesses may be larger, extending
+ *                 a prefix into a longer run; --warmup must be the value
  *                 the snapshotted run used — the restored trace cursor
  *                 already sits past warmup + processed records)
  *   --refresh     model DRAM refresh (tREFI 7.8us, tRFC 350ns)

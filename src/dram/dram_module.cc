@@ -438,15 +438,15 @@ DramModule::restore(SnapshotReader &r)
         for (QueuedChannel &qc : queued_) {
             const std::uint64_t nReads = r.u64();
             qc.inServiceReads.clear();
-            Tick prev = 0;
             for (std::uint64_t i = 0; i < nReads && r.ok(); ++i) {
                 const Tick t = r.u64();
                 // Restored windows must honor the invariant the live
                 // controller maintains: bus-serialized reads complete
                 // in nondecreasing order.
-                CAMEO_AUDIT(t >= prev, "dram: restored in-service read "
-                                       "window not nondecreasing");
-                prev = t;
+                CAMEO_AUDIT(qc.inServiceReads.empty() ||
+                                t >= qc.inServiceReads.back(),
+                            "dram: restored in-service read window not "
+                            "nondecreasing");
                 qc.inServiceReads.push_back(t);
             }
             const std::uint64_t nWrites = r.u64();

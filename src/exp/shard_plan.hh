@@ -13,8 +13,8 @@
  *    only (shard index, shard count).
  *  - The assignment is invariant under permutation of the job list:
  *    reordering the spec moves jobs between submission slots but never
- *    between shards, so per-shard caches (trace arenas, warm-start
- *    snapshots) stay stable across spec refactorings.
+ *    between shards, so per-shard caches (trace arenas) stay stable
+ *    across spec refactorings.
  *
  * Within a shard, jobs run in global submission order; the merged
  * result vector is indexed by global submission index, which is what

@@ -174,6 +174,10 @@ MemoryOrganization::resetTiming()
     if (DramModule *stacked = stackedModule())
         stacked->reset();
     offchipModule().reset();
+#if CAMEO_AUDIT_ENABLED
+    // Request ids and delivery ticks restart with the cores' clocks.
+    queueAudit_.reset();
+#endif
 }
 
 void

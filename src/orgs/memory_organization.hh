@@ -171,10 +171,11 @@ class MemoryOrganization : public Checkpointable
     /**
      * Reset all timing state while preserving architectural state: the
      * DRAM modules' bank/bus reservations, controller queues, protocol
-     * auditor and counters go back to power-on. System calls this at
-     * the warmup→measured switch (after the warmup phase has drained)
-     * so functional- and detailed-warmup runs enter the measured
-     * region with identical timing state.
+     * auditor and counters, and the pipeline's request ids and queue
+     * auditor go back to power-on. System calls this at the
+     * warmup→measured switch (after the warmup phase has drained) so
+     * functional- and detailed-warmup runs enter the measured region
+     * with identical timing state.
      */
     virtual void resetTiming();
 

@@ -39,6 +39,13 @@ EventQueue::runUntil(Tick limit)
         runOne();
 }
 
+void
+EventQueue::resetClock()
+{
+    assert(heap_.empty() && "resetting the clock under pending events");
+    curTick_ = 0;
+}
+
 Tick
 EventQueue::runAll()
 {

@@ -48,6 +48,12 @@ class EventQueue
     /** Tick of the most recently executed event (0 before any). */
     Tick curTick() const { return curTick_; }
 
+    /**
+     * Rewind curTick() to 0, for a timeline restarting at tick 0 (the
+     * warmup->measured switch). Precondition: empty().
+     */
+    void resetClock();
+
     /** Execute exactly the earliest event. Precondition: !empty(). */
     void runOne();
 

@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 namespace cameo
 {
@@ -164,9 +165,9 @@ SnapshotWriter::finish()
 {
     assert(!inSection_ && !finished_);
     finished_ = true;
-    std::vector<std::uint8_t> out;
+    std::vector<std::uint8_t> out(std::begin(kSnapshotMagic),
+                                  std::end(kSnapshotMagic));
     out.reserve(kHeaderBytes + payload_.size() + sections_.size() * 32);
-    out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + 8);
     putU32(out, kSnapshotVersion);
     putU32(out, static_cast<std::uint32_t>(sections_.size()));
     for (const Section &s : sections_) {

@@ -134,7 +134,8 @@ class CpuCore : public Agent, public MemClient
      * record stream (AccessSource contract), so restore() rewinds the
      * ring and fast-forwards the freshly constructed source by
      * processed_ records instead. A snapshot may be restored into a
-     * core configured for a LONGER trace (warm-start fan-out): the only
+     * core configured for a LONGER trace (a prefix reused for a longer
+     * run, as by cameo-sim --restore with a larger --accesses): the only
      * requirement checked is processed_ <= numAccesses_.
      */
     void save(SnapshotWriter &w) const;

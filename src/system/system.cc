@@ -73,11 +73,10 @@ System::System(const SystemConfig &config, OrgKind kind,
     };
 
     // TLM-Oracle: replay the deterministic sources standalone to build
-    // the oracular page-heat profile before any simulation. Footprint
-    // hints size both maps up front so the profiling pass never
-    // rehashes. With the arena active the per-core histograms are
-    // memoized in the cache, so a sweep profiles each stream once
-    // instead of once per oracle job.
+    // the oracular page-heat profile before any simulation (from the
+    // arena when it is on, so the pass costs a decode, not a
+    // generator run). Footprint hints size both maps up front so the
+    // profiling pass never rehashes.
     if (kind_ == OrgKind::TlmOracle) {
         const auto pages_hint = [&](std::uint32_t c) -> std::size_t {
             const GeneratorParams gp =
@@ -90,23 +89,11 @@ System::System(const SystemConfig &config, OrgKind kind,
             total_hint += pages_hint(c);
         PageHeatMap heat(total_hint);
         for (std::uint32_t c = 0; c < config_.numCores; ++c) {
-            if (use_arena) {
-                const WorkloadProfile &p = profileFor(c);
-                const auto core_heat =
-                    TraceArenaCache::instance().pageHeat(
-                        p, config_.generatorParamsFor(p),
-                        coreSeed(config_.seed, c), stream_records,
-                        config_.warmupAccessesPerCore,
-                        config_.accessesPerCore, pages_hint(c));
-                for (const auto &[vpage, count] : *core_heat)
-                    heat[pageHeatKey(c, vpage)] += count;
-            } else {
-                const auto source = make_source(c, /*skip_warmup=*/true);
-                const auto core_heat = profilePageHeat(
-                    *source, config_.accessesPerCore, pages_hint(c));
-                for (const auto &[vpage, count] : core_heat)
-                    heat[pageHeatKey(c, vpage)] += count;
-            }
+            const auto source = make_source(c, /*skip_warmup=*/true);
+            const auto core_heat = profilePageHeat(
+                *source, config_.accessesPerCore, pages_hint(c));
+            for (const auto &[vpage, count] : core_heat)
+                heat[pageHeatKey(c, vpage)] += count;
         }
         if (!org_->setPageHeat(std::move(heat)))
             throw std::runtime_error(
@@ -279,10 +266,13 @@ System::enterMeasuredRegion()
 {
     // The switch barrier (DESIGN.md §13). Warmup has drained; discard
     // everything that only describes *when* things happened — DRAM
-    // bank/bus reservations, controller queues, the protocol auditor's
-    // clock — and every statistic accumulated so far, keeping all
-    // architectural state (LLT, predictors, tags, page tables, heat).
+    // bank/bus reservations, controller queues, the auditors' clocks,
+    // the event queue's clock — and every statistic accumulated so
+    // far, keeping all architectural state (LLT, predictors, tags,
+    // page tables, heat). The cores restart at tick 0 below, so every
+    // clock they schedule against must restart there too.
     org_->resetTiming();
+    kernel_.events().resetClock();
     registry_.resetAll();
     for (auto &core : cores_)
         core->beginMeasurement(config_.accessesPerCore);

@@ -162,7 +162,8 @@ class System
      * transactions). Restoring into a freshly constructed System with
      * the same configuration and then running to completion produces
      * byte-identical statistics to the uninterrupted run. The restoring
-     * config may enlarge accessesPerCore (warm-start fan-out).
+     * config may enlarge accessesPerCore (cameo-sim --restore with a
+     * larger --accesses).
      */
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);

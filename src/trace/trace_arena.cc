@@ -316,58 +316,6 @@ TraceArenaCache::source(const WorkloadProfile &profile,
         acquire(profile, params, seed, count));
 }
 
-std::shared_ptr<const PageHeatProfile>
-TraceArenaCache::pageHeat(const WorkloadProfile &profile,
-                          const GeneratorParams &params,
-                          std::uint64_t seed, std::uint64_t count,
-                          std::uint64_t warmup, std::uint64_t accesses,
-                          std::size_t footprint_pages_hint)
-{
-    const std::string key = keyOf(profile, params, seed, count) +
-                            "|heat|" + std::to_string(warmup) + '|' +
-                            std::to_string(accesses) + '|' +
-                            std::to_string(footprint_pages_hint);
-
-    HeatFuture future;
-    std::promise<std::shared_ptr<const PageHeatProfile>> promise;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = heat_.find(key);
-        if (it != heat_.end()) {
-            ++stats_.heatHits;
-            future = it->second;
-        } else {
-            ++stats_.heatMisses;
-            builder = true;
-            future = promise.get_future().share();
-            heat_.emplace(key, future);
-        }
-    }
-
-    if (!builder)
-        return future.get();
-
-    // Profile outside the lock; concurrent requesters of this key
-    // block on the future instead of duplicating the pass.
-    std::shared_ptr<const PageHeatProfile> profile_result;
-    try {
-        const auto src = source(profile, params, seed, count);
-        if (warmup > 0)
-            src->skip(warmup);
-        profile_result = std::make_shared<const PageHeatProfile>(
-            profilePageHeat(*src, accesses, footprint_pages_hint));
-    } catch (...) {
-        promise.set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(mutex_);
-        heat_.erase(key);
-        throw;
-    }
-
-    promise.set_value(profile_result);
-    return profile_result;
-}
-
 void
 TraceArenaCache::setCacheDir(std::string dir)
 {
@@ -397,7 +345,6 @@ TraceArenaCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    heat_.clear();
     stats_.residentBytes = 0;
 }
 

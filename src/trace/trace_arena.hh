@@ -135,8 +135,6 @@ struct TraceArenaStats
     std::uint64_t diskLoads = 0;  ///< Misses served from the cache dir.
     std::uint64_t evictions = 0;  ///< Arenas dropped for the memory cap.
     std::uint64_t residentBytes = 0; ///< Current charged total.
-    std::uint64_t heatHits = 0;   ///< pageHeat() served from cache.
-    std::uint64_t heatMisses = 0; ///< pageHeat() had to profile.
 };
 
 /**
@@ -182,26 +180,11 @@ class TraceArenaCache
     source(const WorkloadProfile &profile, const GeneratorParams &params,
            std::uint64_t seed, std::uint64_t count);
 
-    /**
-     * Memoized page-heat profile for TLM-Oracle's pre-pass: the
-     * histogram of records [warmup, warmup + accesses) of the stream,
-     * built with @p footprint_pages_hint (part of the key — the hint
-     * fixes the FlatMap layout and thus iteration order, which the
-     * merged heat map's contents depend on). One profiling pass per
-     * distinct request, shared across all jobs; concurrent first
-     * touches collapse onto a single profiling pass via a shared
-     * future, exactly like acquire().
-     */
-    std::shared_ptr<const PageHeatProfile>
-    pageHeat(const WorkloadProfile &profile, const GeneratorParams &params,
-             std::uint64_t seed, std::uint64_t count, std::uint64_t warmup,
-             std::uint64_t accesses, std::size_t footprint_pages_hint);
-
     /** Set (or clear, with "") the persistence directory. */
     void setCacheDir(std::string dir);
     std::string cacheDir() const;
 
-    /** Drop every resident arena and heat profile (not the stats). */
+    /** Drop every resident arena (not the stats). */
     void clear();
 
     TraceArenaStats stats() const;
@@ -214,8 +197,6 @@ class TraceArenaCache
   private:
     using ArenaFuture =
         std::shared_future<std::shared_ptr<const TraceArena>>;
-    using HeatFuture =
-        std::shared_future<std::shared_ptr<const PageHeatProfile>>;
 
     struct Entry
     {
@@ -235,7 +216,6 @@ class TraceArenaCache
 
     mutable std::mutex mutex_;
     std::map<std::string, Entry> entries_;
-    std::map<std::string, HeatFuture> heat_;
     std::string cacheDir_;
     std::uint64_t useClock_ = 0;
     TraceArenaStats stats_;

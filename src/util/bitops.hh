@@ -90,9 +90,9 @@ mix64(std::uint64_t x)
 
 /**
  * FNV-1a over a byte string. Used wherever a stable, portable 64-bit
- * digest of a cache/shard key is needed (trace-arena file names,
- * warm-start file names, shard assignment) — stability across runs and
- * hosts is the point, so this must never change.
+ * digest of a cache/shard key is needed (trace-arena file names, shard
+ * assignment) — stability across runs and hosts is the point, so this
+ * must never change.
  */
 constexpr std::uint64_t
 fnv1a64(std::string_view text,

@@ -3,11 +3,11 @@
  * Advisory cross-process file lock with stale-lock recovery.
  *
  * Serializes expensive produce-or-load work on shared cache files
- * (trace arenas, warm-start snapshots) across *processes*: without it,
- * N fleet workers missing the same key all record the full artifact
- * and race on the final rename — correct (rename is atomic) but N
- * times the work. The protocol is lock -> re-check the cache file ->
- * produce or load -> unlink.
+ * (trace arenas) across *processes*: without it, N fleet workers
+ * missing the same key all record the full artifact and race on the
+ * final rename — correct (rename is atomic) but N times the work. The
+ * protocol is lock -> re-check the cache file -> produce or load ->
+ * unlink.
  *
  * The lock file is created with O_CREAT|O_EXCL and holds the owner's
  * PID. Waiters poll; a lock whose owner PID no longer exists (checked

@@ -161,12 +161,18 @@ TEST(PageHeatKeyTest, PacksCoreAboveVpage)
 #if CAMEO_AUDIT_ENABLED
 TEST(PageHeatKeyTest, AuditsVpageOverflowIntoCoreBits)
 {
-    AuditSink::global().reset();
+    // The overflow is injected on purpose: count it instead of dying
+    // under CAMEO_AUDIT_ABORT.
+    AuditSink &sink = AuditSink::global();
+    const bool abort_on_failure = sink.abortOnFailure();
+    sink.setAbortOnFailure(false);
+    sink.reset();
     (void)pageHeatKey(0, std::uint64_t{1} << 48);
-    EXPECT_EQ(AuditSink::global().failures(), 1u);
-    AuditSink::global().reset();
+    EXPECT_EQ(sink.failures(), 1u);
+    sink.reset();
     (void)pageHeatKey(3, (std::uint64_t{1} << 48) - 1); // in range: clean
-    EXPECT_EQ(AuditSink::global().failures(), 0u);
+    EXPECT_EQ(sink.failures(), 0u);
+    sink.setAbortOnFailure(abort_on_failure);
 }
 #endif
 

@@ -41,7 +41,6 @@
 #include <tuple>
 #include <vector>
 
-#include "exp/warm_start.hh"
 #include "snapshot/snapshot.hh"
 #include "snapshot_common.hh"
 #include "system/system.hh"
@@ -546,70 +545,21 @@ TEST(SnapshotRejectionTest, ShorterRunIsRejected)
 
 TEST(SnapshotSystemTest, LongerRunAcceptsPrefixSnapshot)
 {
-    // The warm-start contract: the same snapshot restores fine into a
-    // config that only ENLARGES the trace, and the resumed run
-    // completes the longer trace.
+    // The prefix-reuse contract behind cameo-sim --restore with a
+    // larger --accesses: a snapshot taken before any core finished
+    // restores into a config that only ENLARGES the trace, and the
+    // resumed run is bit-identical to a cold run of the longer config.
     SystemConfig config = snapConfig(TimingMode::Blocking);
     config.accessesPerCore += 2'000;
-    const Outcome resumed = resumeFrom(mismatchBlob(), config,
-                                       OrgKind::Cameo,
-                                       *findWorkload("milc"));
+    const WorkloadProfile &wl = *findWorkload("milc");
+    const Outcome cold = runUninterrupted(config, OrgKind::Cameo, wl);
+    const Outcome resumed =
+        resumeFrom(mismatchBlob(), config, OrgKind::Cameo, wl);
     EXPECT_EQ(resumed.result.accesses,
               config.accessesPerCore * config.numCores);
-}
-
-// ---------------------------------------------------------------------
-// Warm-start fan-out.
-// ---------------------------------------------------------------------
-
-TEST(WarmStartTest, WarmStartedRunMatchesColdRun)
-{
-    WarmStartCache::instance().clear();
-    const SystemConfig config = snapConfig(TimingMode::Queued);
-    const WorkloadProfile &wl = *findWorkload("milc");
-    const RunResult cold = runWorkload(config, OrgKind::Cameo, wl);
-    const RunResult warm =
-        runWorkloadWarmStarted(config, OrgKind::Cameo, wl, 1'500);
-    expectSameResult(cold, warm, "warm-started CAMEO/milc");
-    EXPECT_EQ(WarmStartCache::instance().entries(), 1u);
-}
-
-TEST(WarmStartTest, IdenticalPrefixesCollapseToOneComputation)
-{
-    WarmStartCache::instance().clear();
-    const SystemConfig config = snapConfig(TimingMode::Blocking);
-    const WorkloadProfile &wl = *findWorkload("mcf");
-    // Three jobs differing only in measurement length share one
-    // cached prefix; a different org keys a second one.
-    SystemConfig longer = config;
-    longer.accessesPerCore += 4'000;
-    runWorkloadWarmStarted(config, OrgKind::Baseline, wl, 1'000);
-    runWorkloadWarmStarted(longer, OrgKind::Baseline, wl, 1'000);
-    EXPECT_EQ(WarmStartCache::instance().entries(), 1u);
-    runWorkloadWarmStarted(config, OrgKind::Cameo, wl, 1'000);
-    EXPECT_EQ(WarmStartCache::instance().entries(), 2u);
-    WarmStartCache::instance().clear();
-    EXPECT_EQ(WarmStartCache::instance().entries(), 0u);
-}
-
-TEST(WarmStartTest, OracleAndZeroPrefixFallBackToColdRuns)
-{
-    WarmStartCache::instance().clear();
-    const SystemConfig config = snapConfig(TimingMode::Blocking);
-    const WorkloadProfile &wl = *findWorkload("milc");
-    // TLM-Oracle's profiling pre-pass depends on the final trace
-    // length, so it cannot share a prefix — and a zero prefix is just
-    // a cold run. Both must bypass the cache entirely.
-    const RunResult oracleCold =
-        runWorkload(config, OrgKind::TlmOracle, wl);
-    const RunResult oracleWarm =
-        runWorkloadWarmStarted(config, OrgKind::TlmOracle, wl, 1'000);
-    expectSameResult(oracleCold, oracleWarm, "oracle fallback");
-    const RunResult zeroWarm =
-        runWorkloadWarmStarted(config, OrgKind::Cameo, wl, 0);
-    const RunResult cameoCold = runWorkload(config, OrgKind::Cameo, wl);
-    expectSameResult(cameoCold, zeroWarm, "zero-prefix fallback");
-    EXPECT_EQ(WarmStartCache::instance().entries(), 0u);
+    expectSameResult(cold.result, resumed.result, "prefix-restored CAMEO");
+    EXPECT_EQ(cold.stats, resumed.stats)
+        << "stats registries differ after a prefix restore";
 }
 
 // ---------------------------------------------------------------------

@@ -366,40 +366,6 @@ TEST(ArenaCacheTest, StaleKeyFileIsReRecorded)
         ASSERT_TRUE(sameAccess(replay.next(), gen.next()));
 }
 
-TEST(ArenaCacheTest, PageHeatIsMemoizedAndExact)
-{
-    TraceArenaCache cache(1ull << 30);
-    const WorkloadProfile &wl = *findWorkload("mcf");
-    const GeneratorParams gp = smallParams();
-    constexpr std::uint64_t kWarmup = 500, kAccesses = 4000;
-    const std::size_t hint =
-        static_cast<std::size_t>((gp.footprintBytes + gp.hotSetBytes) /
-                                 kPageBytes) +
-        2;
-
-    const auto heat1 = cache.pageHeat(wl, gp, 7, kWarmup + kAccesses,
-                                      kWarmup, kAccesses, hint);
-    const auto heat2 = cache.pageHeat(wl, gp, 7, kWarmup + kAccesses,
-                                      kWarmup, kAccesses, hint);
-    EXPECT_EQ(heat1.get(), heat2.get());
-    EXPECT_EQ(cache.stats().heatMisses, 1u);
-    EXPECT_EQ(cache.stats().heatHits, 1u);
-
-    // Exactly what a fresh generator's post-warmup histogram says —
-    // same contents *and* same iteration order (FlatMap layout is part
-    // of the oracle's observable behaviour).
-    SyntheticGenerator gen(wl, gp, 7);
-    gen.skip(kWarmup);
-    const PageHeatProfile direct = profilePageHeat(gen, kAccesses, hint);
-    ASSERT_EQ(heat1->size(), direct.size());
-    auto it = heat1->begin();
-    for (const auto &[page, count] : direct) {
-        ASSERT_EQ((*it).first, page);
-        ASSERT_EQ((*it).second, count);
-        ++it;
-    }
-}
-
 // --- System-level equivalence ---------------------------------------
 
 TEST(ArenaSystemTest, ArenaRunMatchesDirectRun)

@@ -21,9 +21,6 @@
  *   --timing      blocking|queued memory pipeline            (default blocking)
  *   --warmup      warmup accesses per core (see cameo_sim)   (default 0)
  *   --fidelity    skip|functional|detailed warmup fidelity   (default skip)
- *   --warm-prefix warm-start prefix accesses per core; jobs
- *                 fast-forward through a shared cached prefix
- *                 snapshot (exp/warm_start.hh)               (default 0 = off)
  *   --shards      worker process count; 0 runs the sweep
  *                 in-process (reference mode). Also the
  *                 CAMEO_SHARDS environment variable; the flag
@@ -34,9 +31,6 @@
  *   --trace-cache-dir  shared packed-trace directory: the whole fleet
  *                 records each workload stream once (also
  *                 CAMEO_TRACE_CACHE_DIR)
- *   --warm-cache-dir   shared warm-start checkpoint directory: the
- *                 whole fleet simulates each warm prefix once (also
- *                 CAMEO_WARM_CACHE_DIR)
  *   --out         CSV output path (default: stdout)
  *   --summary-json     also write a JSON summary (deterministic
  *                 aggregates only — no wall-clock, no shard count)
@@ -59,7 +53,6 @@
 #include <vector>
 
 #include "exp/sweep.hh"
-#include "exp/warm_start.hh"
 #include "shard/fleet.hh"
 #include "system/system.hh"
 #include "trace/trace_arena.hh"
@@ -156,7 +149,6 @@ main(int argc, char **argv)
     const std::string timing = cli.getString("timing", "blocking");
     const std::uint64_t warmup = cli.getUint("warmup", 0);
     const std::string fidelity = cli.getString("fidelity", "");
-    const std::uint64_t warm_prefix = cli.getUint("warm-prefix", 0);
     const unsigned shards = static_cast<unsigned>(
         cli.getUint("shards", envDefault("CAMEO_SHARDS", 0)));
     const unsigned shard_index = static_cast<unsigned>(cli.getUint(
@@ -165,7 +157,6 @@ main(int argc, char **argv)
     const unsigned jobs =
         static_cast<unsigned>(cli.getUint("jobs", 1));
     const std::string trace_dir = cli.getString("trace-cache-dir", "");
-    const std::string warm_dir = cli.getString("warm-cache-dir", "");
     const std::string out_path = cli.getString("out", "");
     const std::string summary_path = cli.getString("summary-json", "");
     const bool progress = cli.getBool("progress");
@@ -210,22 +201,13 @@ main(int argc, char **argv)
             return EXIT_FAILURE;
         }
     }
-    if (warm_prefix != 0 &&
-        warm_prefix * config.numCores >= config.accessesPerCore) {
-        std::cerr << "error: --warm-prefix * --cores must leave slack "
-                     "below --accesses\n";
-        return EXIT_FAILURE;
-    }
 
-    // Shared warm assets: one packed-trace directory and one
-    // warm-start checkpoint directory per fleet. Workers inherit both
-    // flags through their argv, so every process points at the same
+    // One shared packed-trace directory per fleet. Workers inherit the
+    // flag through their argv, so every process points at the same
     // files and the per-file locks (util/fs_lock.hh) make exactly one
-    // of them record each asset.
+    // of them record each stream.
     if (!trace_dir.empty())
         TraceArenaCache::instance().setCacheDir(trace_dir);
-    if (!warm_dir.empty())
-        WarmStartCache::instance().setCacheDir(warm_dir);
     config.useTraceArena = org_names.size() > 1 || !trace_dir.empty();
 
     // The job matrix: workloads (outer) x organizations (inner), in
@@ -258,12 +240,8 @@ main(int argc, char **argv)
             SweepJob job;
             job.label = std::string(profile->name) + "/" +
                         orgKindName(kind);
-            job.run = [config, kind, profile, warm_prefix] {
-                return warm_prefix != 0
-                           ? runWorkloadWarmStarted(config, kind,
-                                                    *profile,
-                                                    warm_prefix)
-                           : runWorkload(config, kind, *profile);
+            job.run = [config, kind, profile] {
+                return runWorkload(config, kind, *profile);
             };
             sweep_jobs.push_back(std::move(job));
         }
