@@ -59,10 +59,6 @@ benchConfig()
     if (!error.empty())
         std::cerr << "warning: " << error << " (running without "
                      "warmup)\n";
-    // Benches re-run the same workloads across many organizations and
-    // config points: record each stream once, replay it everywhere
-    // (bit-identical; CAMEO_TRACE_ARENA_MB=0 opts out).
-    config.useTraceArena = true;
     return config;
 }
 

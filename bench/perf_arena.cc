@@ -1,9 +1,11 @@
 /**
  * @file
  * Trace-arena before/after study: the same multi-organization,
- * multi-config sweep with the arena cache off and on, at one and at
- * eight workers, plus a records/s microbenchmark of the three stream
- * sources (fresh generator, arena replay, mmap'd packed trace file).
+ * multi-config sweep fed by fresh generators ("direct": a sourceFactory
+ * that builds a SyntheticGenerator per core) and by arena replay (the
+ * default stream path), at one and at eight workers, plus a records/s
+ * microbenchmark of the three stream sources (fresh generator, arena
+ * replay, mmap'd packed trace file).
  *
  * The sweep deliberately includes TLM-Oracle: without the arena every
  * oracle job generates its streams twice (page-heat pre-pass + run),
@@ -24,8 +26,9 @@
  *   CAMEO_BENCH_WORKLOADS  comma-separated workload override
  *                          (default mcf,astar)
  *   CAMEO_BENCH_ARENA_OUT  output JSON path (default BENCH_arena.json)
- *   CAMEO_TRACE_ARENA_MB   arena cache cap; 0 turns the "on" phases
- *                          into plain generator runs (speedup ~1)
+ *   CAMEO_TRACE_ARENA_MB   arena cache cap; 0 keeps no arena
+ *                          resident, so every arena-phase run records
+ *                          its own streams
  *
  * Output: a stdout table plus BENCH_arena.json with per-phase wall
  * times, the jobs=1 and jobs=8 speedups, cache counters, and the
@@ -38,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,7 +52,6 @@
 #include "system/system.hh"
 #include "trace/trace_arena.hh"
 #include "trace/trace_file.hh"
-#include "util/mmap_file.hh"
 
 namespace
 {
@@ -101,8 +104,9 @@ sameResult(const RunResult &a, const RunResult &b)
 
 /**
  * Run the full (workload x org x capacity) matrix once. The cache is
- * cleared first, so every arena-on phase pays its own recording cost —
+ * cleared first, so every arena phase pays its own recording cost —
  * the measured speedup includes materialization, not just replay.
+ * Direct phases bypass the arena with a generator sourceFactory.
  */
 PhaseResult
 runPhase(const std::vector<WorkloadProfile> &workloads,
@@ -117,7 +121,15 @@ runPhase(const std::vector<WorkloadProfile> &workloads,
     for (const std::uint64_t mb : offchip_mb) {
         SystemConfig config = base;
         config.offchipBytes = mb << 20;
-        config.useTraceArena = arena;
+        if (!arena) {
+            config.sourceFactory =
+                [](std::uint32_t, const WorkloadProfile &profile,
+                   const GeneratorParams &params,
+                   std::uint64_t seed) -> std::unique_ptr<AccessSource> {
+                return std::make_unique<SyntheticGenerator>(profile, params,
+                                                            seed);
+            };
+        }
         configs.push_back(config);
     }
 
@@ -138,7 +150,6 @@ runPhase(const std::vector<WorkloadProfile> &workloads,
 
     SweepOptions options;
     options.jobs = jobs;
-    options.traceArena = arena;
     SweepRunner runner(options);
 
     PhaseResult phase;
@@ -223,7 +234,7 @@ main()
               << TraceArenaCache::instance().capBytes() / (1024 * 1024)
               << " MB\n\n";
 
-    // Phase order keeps each arena-on phase paying its own recording.
+    // Phase order keeps each arena phase paying its own recording.
     std::vector<PhaseResult> phases;
     phases.push_back(
         runPhase(workloads, orgs, offchip_mb, base, false, 1));
@@ -318,11 +329,9 @@ main()
             std::cerr << "error: " << error << "\n";
             return 1;
         }
-        TraceReader reader(trace_path, TraceMode::Auto);
-        micro.push_back(timeSource(
-            reader,
-            reader.zeroCopy() ? "trace-file-mmap" : "trace-file-loaded",
-            kMicroReplay));
+        TraceReader reader(trace_path);
+        micro.push_back(timeSource(reader, "trace-file-mmap",
+                                   kMicroReplay));
         std::remove(trace_path.c_str());
     }
 

@@ -68,10 +68,6 @@ shardBenchJobs()
     if (std::getenv("CAMEO_BENCH_ACCESSES") == nullptr)
         config.accessesPerCore = 40'000;
     config.timingMode = TimingMode::Queued;
-    // Each process records its own streams; the fleet axis under test
-    // is process count, not asset sharing (cameo-shard's
-    // --trace-cache-dir covers that).
-    config.useTraceArena = false;
 
     std::vector<WorkloadProfile> workloads;
     if (std::getenv("CAMEO_BENCH_WORKLOADS") != nullptr) {

@@ -14,7 +14,7 @@
  *                 tlm-dynamic|tlm-freq|tlm-oracle|doubleuse|cameo|
  *                 cameo-freq|banshee                      (default cameo)
  *   --workload    Table II benchmark name                  (default milc)
- *   --accesses    L3-level accesses per core               (default 200000)
+ *   --accesses    L3-level accesses per core (>= 1)        (default 200000)
  *   --max-steps   kernel step limit, 0 = unlimited         (default 0)
  *   --cores       number of cores                          (default 8)
  *   --stacked-mb  stacked DRAM capacity in MB              (default 8)
@@ -60,12 +60,11 @@
  *                 execute concurrently.
  *   --trace-cache-dir  persist recorded access streams as packed trace
  *                 files in this directory and mmap them back on later
- *                 runs (also CAMEO_TRACE_CACHE_DIR). Implies the trace
- *                 arena. Stale files are detected by an embedded key
- *                 and re-recorded, never silently replayed.
- *   --no-arena    never route streams through the trace-arena cache
- *                 (it is used automatically when this invocation would
- *                 generate the same stream twice, i.e. --baseline)
+ *                 runs (also CAMEO_TRACE_CACHE_DIR). Stale files are
+ *                 detected by an embedded key and re-recorded, never
+ *                 silently replayed. Every run replays its streams
+ *                 from the trace arena (DESIGN.md §10); this only
+ *                 makes the recordings outlive the process.
  *   --dump-stats  print the full statistics registry
  *   --json        machine-readable stats (implies --dump-stats)
  *   --csv         CSV stats with percentiles (implies --dump-stats)
@@ -187,6 +186,10 @@ main(int argc, char **argv)
         config.stacked.tRfc = 560;
     }
 
+    if (config.accessesPerCore == 0) {
+        std::cerr << "error: --accesses must be at least 1\n";
+        return EXIT_FAILURE;
+    }
     config.warmupAccessesPerCore = cli.getUint("warmup", 0);
     if (config.warmupAccessesPerCore != 0 &&
         config.warmupAccessesPerCore >= config.accessesPerCore) {
@@ -241,15 +244,9 @@ main(int argc, char **argv)
 
     const bool want_baseline = cli.getBool("baseline");
 
-    // Arena policy: replaying from the arena only pays off when the
-    // same stream is consumed more than once — a --baseline comparison
-    // does, and a persistent cache directory makes every later
-    // invocation a consumer too.
     const std::string cache_dir = cli.getString("trace-cache-dir", "");
     if (!cache_dir.empty())
         TraceArenaCache::instance().setCacheDir(cache_dir);
-    config.useTraceArena =
-        (want_baseline || !cache_dir.empty()) && !cli.getBool("no-arena");
 
     const bool json = cli.getBool("json");
     const bool csv = cli.getBool("csv");

@@ -17,6 +17,7 @@
 #include "stats/table.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
+#include "util/env.hh"
 #include "util/math.hh"
 
 int
@@ -32,8 +33,13 @@ main(int argc, char **argv)
     }
 
     SystemConfig config = defaultConfig();
-    config.accessesPerCore =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 150'000;
+    config.accessesPerCore = 150'000;
+    if (argc > 2 && parseUintStrict(argv[2], config.accessesPerCore) !=
+                    ParseUintStatus::Ok) {
+        std::cerr << "error: accessesPerCore: expected an unsigned 64-bit "
+                     "integer, got '" << argv[2] << "'\n";
+        return EXIT_FAILURE;
+    }
 
     std::cout << "Capacity study: " << profile->name << " ("
               << categoryName(profile->category) << "-limited), paper "

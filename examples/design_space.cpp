@@ -19,6 +19,7 @@
 #include "stats/table.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
+#include "util/env.hh"
 #include "util/math.hh"
 
 namespace
@@ -97,8 +98,13 @@ main(int argc, char **argv)
         return EXIT_FAILURE;
     }
     SystemConfig config = defaultConfig();
-    config.accessesPerCore =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100'000;
+    config.accessesPerCore = 100'000;
+    if (argc > 2 && parseUintStrict(argv[2], config.accessesPerCore) !=
+                    ParseUintStatus::Ok) {
+        std::cerr << "error: accessesPerCore: expected an unsigned 64-bit "
+                     "integer, got '" << argv[2] << "'\n";
+        return EXIT_FAILURE;
+    }
 
     std::cout << "CAMEO design-space ablations on " << profile->name
               << "\n\n";

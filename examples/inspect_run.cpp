@@ -11,6 +11,7 @@
 
 #include "system/system.hh"
 #include "trace/workloads.hh"
+#include "util/env.hh"
 
 namespace
 {
@@ -52,8 +53,12 @@ main(int argc, char **argv)
     }
 
     SystemConfig config = defaultConfig();
-    if (argc > 3)
-        config.accessesPerCore = std::strtoull(argv[3], nullptr, 10);
+    if (argc > 3 && parseUintStrict(argv[3], config.accessesPerCore) !=
+                    ParseUintStatus::Ok) {
+        std::cerr << "error: accessesPerCore: expected an unsigned 64-bit "
+                     "integer, got '" << argv[3] << "'\n";
+        return 1;
+    }
 
     // CAMEO variants: "cameo-sam", "cameo-perfect", "cameo-ideal",
     // "cameo-embedded" select predictor / LLT design.

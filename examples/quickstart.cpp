@@ -17,6 +17,7 @@
 #include "exp/experiment.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
+#include "util/env.hh"
 #include "util/math.hh"
 
 int
@@ -36,8 +37,12 @@ main(int argc, char **argv)
     }
 
     SystemConfig config = defaultConfig();
-    if (argc > 2)
-        config.accessesPerCore = std::strtoull(argv[2], nullptr, 10);
+    if (argc > 2 && parseUintStrict(argv[2], config.accessesPerCore) !=
+                    ParseUintStatus::Ok) {
+        std::cerr << "error: accessesPerCore: expected an unsigned 64-bit "
+                     "integer, got '" << argv[2] << "'\n";
+        return EXIT_FAILURE;
+    }
 
     std::cout << "CAMEO quickstart: workload=" << profile->name
               << " (" << categoryName(profile->category) << "-limited), "

@@ -11,7 +11,7 @@
  *   trace_tools replay <trace.trc> <org> [accessesPerCore]
  *       Run a simulation where every core replays the trace
  *       (rate mode, staggered start offsets per core). Traces are
- *       mmap'd where the platform allows, so replay is zero-copy.
+ *       mmap'd, so replay is zero-copy.
  *
  * Both formats are documented in src/trace/trace_file.hh; external
  * tracers (Pin, DynamoRIO, gem5 probes) can emit the raw one
@@ -26,6 +26,7 @@
 #include "system/system.hh"
 #include "trace/generator.hh"
 #include "trace/trace_file.hh"
+#include "util/env.hh"
 
 namespace
 {
@@ -45,8 +46,12 @@ cmdRecord(int argc, char **argv)
         std::cerr << "unknown workload '" << argv[2] << "'\n";
         return EXIT_FAILURE;
     }
-    const std::uint64_t count =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 200'000;
+    std::uint64_t count = 200'000;
+    if (argc > 4 && parseUintStrict(argv[4], count) != ParseUintStatus::Ok) {
+        std::cerr << "error: count: expected an unsigned 64-bit "
+                     "integer, got '" << argv[4] << "'\n";
+        return EXIT_FAILURE;
+    }
     TraceFormat format = TraceFormat::Packed;
     if (argc > 5) {
         const std::string name = argv[5];
@@ -86,7 +91,7 @@ cmdInfo(int argc, char **argv)
     std::cout << argv[2] << ":\n  format       "
               << (reader.format() == TraceFormat::Packed ? "packed (v2)"
                                                          : "raw (v1)")
-              << (reader.zeroCopy() ? ", mmap" : ", loaded") << "\n";
+              << "\n";
     std::set<PageAddr> pages;
     std::set<InstAddr> pcs;
     std::uint64_t writes = 0, dependent = 0, instructions = 0;
@@ -135,8 +140,12 @@ cmdReplay(int argc, char **argv)
     }
     const std::string path = argv[2];
     SystemConfig config = defaultConfig();
-    if (argc > 4)
-        config.accessesPerCore = std::strtoull(argv[4], nullptr, 10);
+    if (argc > 4 && parseUintStrict(argv[4], config.accessesPerCore) !=
+                    ParseUintStatus::Ok) {
+        std::cerr << "error: accessesPerCore: expected an unsigned 64-bit "
+                     "integer, got '" << argv[4] << "'\n";
+        return EXIT_FAILURE;
+    }
 
     // Every core replays the same file, staggered so they do not move
     // in lockstep (rate-mode methodology).

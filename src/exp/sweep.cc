@@ -190,19 +190,13 @@ runComparison(const SystemConfig &base_config,
               std::span<const WorkloadProfile> workloads,
               const SweepOptions &options)
 {
-    // Arena routing: flip useTraceArena on local config copies (the
-    // originals are the caller's). Configs with a custom sourceFactory
-    // keep their stream provider either way.
-    SystemConfig arena_base = base_config;
-    arena_base.useTraceArena =
-        options.traceArena && !arena_base.sourceFactory;
-    if (options.warmupPolicy)
-        arena_base.warmupPolicy = *options.warmupPolicy;
-    std::vector<DesignPoint> arena_points(points.begin(), points.end());
-    for (DesignPoint &point : arena_points) {
-        point.config.useTraceArena =
-            options.traceArena && !point.config.sourceFactory;
-        if (options.warmupPolicy)
+    // The warmup-policy override applies to local config copies (the
+    // originals are the caller's).
+    SystemConfig base = base_config;
+    std::vector<DesignPoint> run_points(points.begin(), points.end());
+    if (options.warmupPolicy) {
+        base.warmupPolicy = *options.warmupPolicy;
+        for (DesignPoint &point : run_points)
             point.config.warmupPolicy = *options.warmupPolicy;
     }
 
@@ -210,13 +204,13 @@ runComparison(const SystemConfig &base_config,
     // run per design point. The flat index encodes the (row, column)
     // slot, so reassembly below is pure arithmetic.
     std::vector<SweepJob> jobs;
-    jobs.reserve(workloads.size() * (arena_points.size() + 1));
+    jobs.reserve(workloads.size() * (run_points.size() + 1));
     for (const WorkloadProfile &wl : workloads) {
         jobs.push_back(
-            {wl.name + "/baseline", [&arena_base, wl] {
-                 return runWorkload(arena_base, OrgKind::Baseline, wl);
+            {wl.name + "/baseline", [&base, wl] {
+                 return runWorkload(base, OrgKind::Baseline, wl);
              }});
-        for (const DesignPoint &point : arena_points) {
+        for (const DesignPoint &point : run_points) {
             jobs.push_back(
                 {wl.name + "/" + point.label, [&point, wl] {
                      return runWorkload(point.config, point.kind, wl);

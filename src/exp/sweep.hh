@@ -71,22 +71,11 @@ struct SweepOptions
     std::uint64_t shuffleSeed = 0;
 
     /**
-     * Route the sweep's access streams through the process-wide
-     * TraceArenaCache (DESIGN.md §10): the first job touching a
-     * workload records its stream once, every other job replays the
-     * packed arena. Replay is bit-identical to fresh generation, so
-     * this is purely a wall-clock knob. Applied by runComparison() to
-     * configs without a custom sourceFactory; ignored entirely when
-     * the cache is disabled via CAMEO_TRACE_ARENA_MB=0.
-     */
-    bool traceArena = true;
-
-    /**
      * When set, runComparison() overrides every config's warmup policy
-     * with this value (on its local copies, like traceArena). Lets
-     * warmup-heavy sweeps fast-forward through their warmup at
-     * functional fidelity (DESIGN.md §13) without editing each design
-     * point. Configs whose warmupAccessesPerCore is 0 are unaffected.
+     * with this value (on its local copies). Lets warmup-heavy sweeps
+     * fast-forward through their warmup at functional fidelity
+     * (DESIGN.md §13) without editing each design point. Configs whose
+     * warmupAccessesPerCore is 0 are unaffected.
      */
     std::optional<WarmupPolicy> warmupPolicy;
 };

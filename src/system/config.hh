@@ -127,18 +127,6 @@ struct SystemConfig
     std::uint32_t functionalRefillBatch = 1024;
 
     /**
-     * Route access streams through the process-wide TraceArenaCache
-     * (trace/trace_arena.hh): the first run for a (profile, params,
-     * seed) records the stream once into a packed arena, every later
-     * run replays it. Replay is bit-identical to fresh generation, so
-     * results do not change — only redundant generator work goes away.
-     * Ignored when sourceFactory is set or the cache is disabled
-     * (CAMEO_TRACE_ARENA_MB=0). Off by default so single-run tools and
-     * tests pay no cache residency; sweeps turn it on (SweepOptions).
-     */
-    bool useTraceArena = false;
-
-    /**
      * Runaway guard for the simulation kernel: maximum agent steps per
      * run (0 = unlimited). A run that hits the limit is reported as
      * truncated in RunResult — its execution time understates reality.
@@ -150,7 +138,8 @@ struct SystemConfig
     /**
      * Optional access-source factory. When set, System builds each
      * core's stream from it (e.g. TraceReader replay of recorded or
-     * externally produced traces) instead of the synthetic generator.
+     * externally produced traces) instead of the replayed trace arena
+     * of the synthetic workload stream (trace/trace_arena.hh).
      * Called once per core with (core id, profile, scaled params,
      * per-core seed); must also be usable for TLM-Oracle's profiling
      * pre-pass, i.e. repeated calls with the same arguments must yield

@@ -36,21 +36,16 @@ System::System(const SystemConfig &config, OrgKind kind,
     assert(org_ != nullptr);
     assert(!profiles_.empty());
 
-    // Arena replay applies when nothing else supplies the stream: the
-    // cache records each (profile, params, seed) once and replays it
-    // bit-identically for every later run (DESIGN.md §10).
-    const bool use_arena = !config_.sourceFactory &&
-                           config_.useTraceArena &&
-                           TraceArenaCache::instance().enabled();
     // Arena record count covers warmup + measurement, so a core that
     // consumes both never wraps the arena.
     const std::uint64_t stream_records =
         config_.warmupAccessesPerCore + config_.accessesPerCore;
 
-    // Each core's access stream: a synthetic generator by default, an
-    // arena replay when enabled, or whatever the configured factory
-    // provides (trace replay). Under the Skip policy warmup records are
-    // skipped here so the core's first fetched record is the first
+    // Each core's access stream: whatever the configured factory
+    // provides (trace replay), else a replay of the workload stream's
+    // arena, recorded once per (profile, params, seed) and shared by
+    // every run (DESIGN.md §10). Under the Skip policy warmup records
+    // are skipped here so the core's first fetched record is the first
     // measured one; under Functional/Detailed the warmup phase itself
     // consumes them (ensureWarmup), so the cursor starts at record 0.
     const auto make_source = [&](std::uint32_t c, bool skip_warmup)
@@ -58,15 +53,11 @@ System::System(const SystemConfig &config, OrgKind kind,
         const WorkloadProfile &p = profileFor(c);
         const GeneratorParams gp = config_.generatorParamsFor(p);
         const std::uint64_t seed = coreSeed(config_.seed, c);
-        std::unique_ptr<AccessSource> source;
-        if (config_.sourceFactory) {
-            source = config_.sourceFactory(c, p, gp, seed);
-        } else if (use_arena) {
-            source = TraceArenaCache::instance().source(
-                p, gp, seed, stream_records);
-        } else {
-            source = std::make_unique<SyntheticGenerator>(p, gp, seed);
-        }
+        std::unique_ptr<AccessSource> source =
+            config_.sourceFactory
+                ? config_.sourceFactory(c, p, gp, seed)
+                : TraceArenaCache::instance().source(p, gp, seed,
+                                                     stream_records);
         if (skip_warmup && config_.warmupAccessesPerCore > 0)
             source->skip(config_.warmupAccessesPerCore);
         return source;
@@ -74,9 +65,9 @@ System::System(const SystemConfig &config, OrgKind kind,
 
     // TLM-Oracle: replay the deterministic sources standalone to build
     // the oracular page-heat profile before any simulation (from the
-    // arena when it is on, so the pass costs a decode, not a
-    // generator run). Footprint hints size both maps up front so the
-    // profiling pass never rehashes.
+    // arena, so the pass costs a decode, not a generator run).
+    // Footprint hints size both maps up front so the profiling pass
+    // never rehashes.
     if (kind_ == OrgKind::TlmOracle) {
         const auto pages_hint = [&](std::uint32_t c) -> std::size_t {
             const GeneratorParams gp =

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -69,7 +70,7 @@ TraceArena::fromFile(const std::string &path,
                      const std::string &expected_key, std::string *error)
 {
     PackedTraceFile file;
-    if (!loadPackedTraceFile(path, TraceMode::Auto, &file, error))
+    if (!loadPackedTraceFile(path, &file, error))
         return nullptr;
     if (file.meta != expected_key) {
         if (error != nullptr) {
@@ -82,16 +83,10 @@ TraceArena::fromFile(const std::string &path,
     }
     auto arena = std::shared_ptr<TraceArena>(new TraceArena());
     arena->map_ = std::move(file.map);
-    arena->packed_ = std::move(file.owned);
     arena->checkpoints_ = std::move(file.checkpoints);
-    if (arena->map_ != nullptr) {
-        arena->view_ = PackedTraceView{
-            file.view.bytes, file.view.byteSize,
-            arena->checkpoints_.data(), arena->checkpoints_.size(),
-            file.view.count};
-    } else {
-        arena->view_ = arena->packed_.view();
-    }
+    arena->view_ = PackedTraceView{
+        file.view.bytes, file.view.byteSize, arena->checkpoints_.data(),
+        arena->checkpoints_.size(), file.view.count};
     arena->memoryBytes_ =
         arena->view_.byteSize +
         arena->view_.numCheckpoints * sizeof(TraceCheckpoint);
@@ -109,19 +104,32 @@ namespace
 std::uint64_t
 envCapBytes()
 {
-    std::uint64_t cap_mb = kDefaultCapMb;
     std::string error;
-    if (const auto parsed = envUint("CAMEO_TRACE_ARENA_MB", &error)) {
-        cap_mb = *parsed;
-    } else if (!error.empty()) {
+    std::optional<std::uint64_t> cap;
+    if (const auto mb = envUint("CAMEO_TRACE_ARENA_MB", &error)) {
+        cap = TraceArenaCache::capBytesFromMb(*mb);
+        if (!cap) {
+            error = "CAMEO_TRACE_ARENA_MB: value out of range: '" +
+                    std::to_string(*mb) + "'";
+        }
+    }
+    if (!error.empty()) {
         std::fprintf(stderr, "warning: %s; using default %llu MB\n",
                      error.c_str(),
                      static_cast<unsigned long long>(kDefaultCapMb));
     }
-    return cap_mb << 20;
+    return cap.value_or(kDefaultCapMb << 20);
 }
 
 } // namespace
+
+std::optional<std::uint64_t>
+TraceArenaCache::capBytesFromMb(std::uint64_t mb)
+{
+    if (mb > std::numeric_limits<std::uint64_t>::max() >> 20)
+        return std::nullopt;
+    return mb << 20;
+}
 
 TraceArenaCache &
 TraceArenaCache::instance()
@@ -310,8 +318,6 @@ TraceArenaCache::source(const WorkloadProfile &profile,
                         const GeneratorParams &params, std::uint64_t seed,
                         std::uint64_t count)
 {
-    if (!enabled())
-        return std::make_unique<SyntheticGenerator>(profile, params, seed);
     return std::make_unique<ArenaReplaySource>(
         acquire(profile, params, seed, count));
 }

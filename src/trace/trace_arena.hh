@@ -3,26 +3,27 @@
  * Trace arenas: record a workload's deterministic access stream once,
  * replay it everywhere.
  *
- * A sweep (9 organizations x N config points) re-runs the synthetic
- * generator's RNG state machine for the *same* (profile, params, seed)
- * dozens of times, and TLM-Oracle runs it twice more per job for its
- * page-heat pre-pass. Since the stream is deterministic given those
- * inputs, the process-wide TraceArenaCache materializes it exactly
- * once into a packed arena (see packed_trace.hh, ~5-9 bytes/record vs
- * the 24-byte in-memory Access) and every later job replays it through
- * an ArenaReplaySource whose refill() is a branch-light unpack loop.
+ * A sweep (9 organizations x N config points) consumes the synthetic
+ * generator's stream for the *same* (profile, params, seed) dozens of
+ * times, and TLM-Oracle consumes it twice per job (page-heat pre-pass
+ * + run). Since the stream is deterministic given those inputs, the
+ * process-wide TraceArenaCache materializes it exactly once into a
+ * packed arena (see packed_trace.hh, ~5-9 bytes/record vs the 24-byte
+ * in-memory Access) and every job replays it through an
+ * ArenaReplaySource whose refill() is a branch-light unpack loop. This
+ * is the only path by which a System gets a synthetic stream, as the
+ * paper replays one recorded trace per workload for every design.
  *
  * Replay is bit-identical to a fresh generator by construction — the
- * arena *is* the generator's output — so golden statistics do not move
- * when the cache is enabled (property-tested in test_trace_arena.cc).
+ * arena *is* the generator's output (property-tested in
+ * test_trace_arena.cc).
  *
  * Memory policy: the cache is capped (CAMEO_TRACE_ARENA_MB, strict
  * parse, default 512); when inserting an arena pushes the resident
  * total over the cap, least-recently-acquired arenas are evicted.
  * Live ArenaReplaySources keep their arena alive via shared_ptr, so
- * eviction only drops the cache's reference. A cap of 0 disables the
- * cache entirely: source() then degrades to handing out fresh
- * generators.
+ * eviction only drops the cache's reference. A cap of 0 keeps nothing
+ * resident: every arena lives exactly as long as its replay sources.
  *
  * Persistence: with a cache directory set (--trace-cache-dir or
  * CAMEO_TRACE_CACHE_DIR), recorded arenas are written as version-2
@@ -40,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "trace/access_source.hh"
@@ -70,10 +72,10 @@ class TraceArena
     static std::shared_ptr<const TraceArena> fromPacked(PackedTrace packed);
 
     /**
-     * Load a persisted arena, mmap-backed when the platform allows.
-     * Returns nullptr (with @p error set) when the file is missing,
-     * corrupt, or its embedded key differs from @p expected_key —
-     * callers then fall back to recording.
+     * Load a persisted arena, mmap-backed. Returns nullptr (with
+     * @p error set) when the file is missing, corrupt, or its embedded
+     * key differs from @p expected_key — callers then fall back to
+     * recording.
      */
     static std::shared_ptr<const TraceArena>
     fromFile(const std::string &path, const std::string &expected_key,
@@ -147,8 +149,8 @@ struct TraceArenaStats
 class TraceArenaCache
 {
   public:
-    /** @p cap_bytes = 0 disables caching (source() returns fresh
-     *  generators). */
+    /** @p cap_bytes = 0 keeps nothing resident once built: a later
+     *  acquire() of the same stream records (or loads) it again. */
     explicit TraceArenaCache(std::uint64_t cap_bytes);
 
     /**
@@ -158,7 +160,12 @@ class TraceArenaCache
      */
     static TraceArenaCache &instance();
 
-    bool enabled() const { return capBytes_ > 0; }
+    /**
+     * The cap for @p mb megabytes, in bytes; nullopt when that byte
+     * count does not fit in 64 bits (mb > UINT64_MAX >> 20).
+     */
+    static std::optional<std::uint64_t> capBytesFromMb(std::uint64_t mb);
+
     std::uint64_t capBytes() const { return capBytes_; }
 
     /**
@@ -172,9 +179,8 @@ class TraceArenaCache
             std::uint64_t seed, std::uint64_t count);
 
     /**
-     * An AccessSource for the stream: an ArenaReplaySource when the
-     * cache is enabled, a fresh SyntheticGenerator otherwise. This is
-     * the one sanctioned way for sweeps/benches to build sources.
+     * An ArenaReplaySource over acquire()'s arena: the one sanctioned
+     * way to build a synthetic workload stream.
      */
     std::unique_ptr<AccessSource>
     source(const WorkloadProfile &profile, const GeneratorParams &params,

@@ -87,52 +87,16 @@ setError(std::string *error, const std::string &path,
     return false;
 }
 
-/** Whole-file bytes, either owned or mapped. */
-struct TraceBytes
+/** Map @p path whole; nullptr (with @p error filled) on failure. */
+std::shared_ptr<MmapFile>
+mapTraceFile(const std::string &path, std::string *error)
 {
-    std::vector<std::uint8_t> owned;
-    std::shared_ptr<MmapFile> map;
-    const std::uint8_t *data = nullptr;
-    std::size_t size = 0;
-};
-
-TraceMode
-resolveMode(TraceMode mode)
-{
-    if (mode == TraceMode::Auto)
-        return MmapFile::supported() ? TraceMode::Mmap : TraceMode::Load;
-    return mode;
-}
-
-bool
-openTraceBytes(const std::string &path, TraceMode mode, TraceBytes *out,
-               std::string *error)
-{
-    if (resolveMode(mode) == TraceMode::Mmap) {
-        auto map = std::make_shared<MmapFile>(path);
-        if (!map->valid())
-            return setError(error, path, map->error());
-        out->data = map->data();
-        out->size = map->size();
-        out->map = std::move(map);
-        return true;
+    auto map = std::make_shared<MmapFile>(path);
+    if (!map->valid()) {
+        setError(error, path, map->error());
+        return nullptr;
     }
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return setError(error, path, "cannot open for reading");
-    in.seekg(0, std::ios::end);
-    const auto size = static_cast<std::size_t>(in.tellg());
-    in.seekg(0, std::ios::beg);
-    out->owned.resize(size);
-    if (size > 0) {
-        in.read(reinterpret_cast<char *>(out->owned.data()),
-                static_cast<std::streamsize>(size));
-        if (!in)
-            return setError(error, path, "read failed");
-    }
-    out->data = out->owned.data();
-    out->size = size;
-    return true;
+    return map;
 }
 
 /** Decoded header of either format. */
@@ -250,17 +214,16 @@ parseHeader(const std::string &path, const std::uint8_t *data,
 }
 
 /**
- * Fill @p out from parsed version-2 bytes. Copies the payload when the
- * bytes are not mapped (they die with the local buffer); keeps the
- * mapping and copies only the checkpoint table otherwise.
+ * Fill @p out from a mapped, header-parsed version-2 file: it keeps
+ * the mapping and copies out only the checkpoint table.
  */
 bool
-parsePackedBody(const std::string &path, TraceBytes &&bytes,
+parsePackedBody(const std::string &path, std::shared_ptr<MmapFile> map,
                 const ParsedHeader &header, PackedTraceFile *out,
                 std::string *error)
 {
     assert(header.format == TraceFormat::Packed);
-    const std::uint8_t *cursor = bytes.data + header.headerBytes;
+    const std::uint8_t *cursor = map->data() + header.headerBytes;
     out->meta.assign(reinterpret_cast<const char *>(cursor),
                      header.metaLength);
     cursor += header.metaLength;
@@ -273,19 +236,11 @@ parsePackedBody(const std::string &path, TraceBytes &&bytes,
         cursor += kCheckpointBytes;
     }
 
-    if (bytes.map != nullptr) {
-        out->map = std::move(bytes.map);
-        out->checkpoints = std::move(checkpoints);
-        out->view =
-            PackedTraceView{cursor, header.payloadBytes,
-                            out->checkpoints.data(),
-                            out->checkpoints.size(), header.count};
-    } else {
-        out->owned.bytes.assign(cursor, cursor + header.payloadBytes);
-        out->owned.checkpoints = std::move(checkpoints);
-        out->owned.count = header.count;
-        out->view = out->owned.view();
-    }
+    out->map = std::move(map);
+    out->checkpoints = std::move(checkpoints);
+    out->view = PackedTraceView{cursor, header.payloadBytes,
+                                out->checkpoints.data(),
+                                out->checkpoints.size(), header.count};
 
     std::string detail;
     if (!validatePackedTrace(out->view, &detail))
@@ -394,48 +349,35 @@ TraceWriter::close()
     good_ = !out_.fail();
 }
 
-TraceReader::TraceReader(const std::string &path, TraceMode mode)
+TraceReader::TraceReader(const std::string &path)
 {
-    TraceBytes bytes;
     std::string error;
-    if (!openTraceBytes(path, mode, &bytes, &error))
+    std::shared_ptr<MmapFile> map = mapTraceFile(path, &error);
+    if (map == nullptr)
         throw std::runtime_error(error);
 
     ParsedHeader header;
-    if (!parseHeader(path, bytes.data, bytes.size, &header, &error))
+    if (!parseHeader(path, map->data(), map->size(), &header, &error))
         throw std::runtime_error(error);
     format_ = header.format;
     count_ = header.count;
 
     if (format_ == TraceFormat::Raw) {
-        const std::uint8_t *base = bytes.data + header.headerBytes;
-        if (bytes.map != nullptr) {
-            map_ = std::move(bytes.map);
-            rawBase_ = base;
-        } else {
-            records_.reserve(count_);
-            for (std::uint64_t i = 0; i < count_; ++i)
-                records_.push_back(
-                    decodeRawRecord(base + i * kRawRecordBytes));
-        }
+        rawBase_ = map->data() + header.headerBytes;
+        map_ = std::move(map);
         return;
     }
 
     PackedTraceFile file;
-    if (!parsePackedBody(path, std::move(bytes), header, &file, &error))
+    if (!parsePackedBody(path, std::move(map), header, &file, &error))
         throw std::runtime_error(error);
     meta_ = std::move(file.meta);
     map_ = std::move(file.map);
-    packed_ = std::move(file.owned);
     checkpoints_ = std::move(file.checkpoints);
-    // Rebuild the view against the members the storage now lives in.
-    if (map_ != nullptr) {
-        view_ = PackedTraceView{file.view.bytes, file.view.byteSize,
-                                checkpoints_.data(), checkpoints_.size(),
-                                count_};
-    } else {
-        view_ = packed_.view();
-    }
+    // Rebuild the view against the member the checkpoints now live in.
+    view_ = PackedTraceView{file.view.bytes, file.view.byteSize,
+                            checkpoints_.data(), checkpoints_.size(),
+                            count_};
     packedCursor_.emplace(view_);
 }
 
@@ -448,29 +390,11 @@ TraceReader::refill(Access *buf, std::size_t n)
         packedCursor_->refill(buf, n);
         return;
     }
-    if (rawBase_ != nullptr) {
-        // Mmap mode: decode records straight out of the mapping.
-        for (std::size_t i = 0; i < n; ++i) {
-            buf[i] =
-                decodeRawRecord(rawBase_ + cursor_ * kRawRecordBytes);
-            if (++cursor_ == count_)
-                cursor_ = 0;
-        }
-        return;
-    }
-    // Chunked copies instead of a per-record modulo: one memcpy-able
-    // block per wrap of the trace.
-    while (n > 0) {
-        const std::size_t chunk = std::min(
-            n, static_cast<std::size_t>(records_.size() - cursor_));
-        std::copy_n(records_.begin() +
-                        static_cast<std::ptrdiff_t>(cursor_),
-                    chunk, buf);
-        cursor_ += chunk;
-        if (cursor_ == records_.size())
+    // Raw records decode straight out of the mapping.
+    for (std::size_t i = 0; i < n; ++i) {
+        buf[i] = decodeRawRecord(rawBase_ + cursor_ * kRawRecordBytes);
+        if (++cursor_ == count_)
             cursor_ = 0;
-        buf += chunk;
-        n -= chunk;
     }
 }
 
@@ -509,21 +433,21 @@ writePackedTraceFile(const std::string &path, const PackedTraceView &view,
 }
 
 bool
-loadPackedTraceFile(const std::string &path, TraceMode mode,
-                    PackedTraceFile *out, std::string *error)
+loadPackedTraceFile(const std::string &path, PackedTraceFile *out,
+                    std::string *error)
 {
-    TraceBytes bytes;
-    if (!openTraceBytes(path, mode, &bytes, error))
+    std::shared_ptr<MmapFile> map = mapTraceFile(path, error);
+    if (map == nullptr)
         return false;
     ParsedHeader header;
-    if (!parseHeader(path, bytes.data, bytes.size, &header, error))
+    if (!parseHeader(path, map->data(), map->size(), &header, error))
         return false;
     if (header.format != TraceFormat::Packed) {
         return setError(error, path,
                         "is a version-1 raw trace; expected a packed "
                         "(version-2) trace");
     }
-    return parsePackedBody(path, std::move(bytes), header, out, error);
+    return parsePackedBody(path, std::move(map), header, out, error);
 }
 
 std::uint64_t

@@ -22,10 +22,11 @@
  *   ~5-9 bytes per record; the trace-arena cache persists arenas in
  *   this format with its cache key as the meta string.
  *
- * TraceReader replays either version and supports an mmap-backed mode:
- *   - v1 + mmap: records decode straight out of the mapping (no load
- *     pass, no resident copy);
- *   - v2 + mmap: the packed payload is replayed zero-copy through a
+ * TraceReader replays either version from an mmap of the file (the
+ * build is POSIX-only, so there is no buffered fallback):
+ *   - v1: records decode straight out of the mapping (no load pass, no
+ *     resident copy);
+ *   - v2: the packed payload is replayed zero-copy through a
  *     PackedTraceCursor (only the small checkpoint table is copied,
  *     sidestepping alignment hazards).
  * Malformed files of either version fail with a message naming the
@@ -64,14 +65,6 @@ enum class TraceFormat : std::uint32_t
 
 /** Newest version this build writes. */
 inline constexpr std::uint32_t kTraceVersion = 2;
-
-/** How TraceReader backs its records. */
-enum class TraceMode
-{
-    Auto, ///< Mmap when the platform supports it, else Load.
-    Load, ///< Read the whole file into memory.
-    Mmap, ///< Zero-copy mapping; throws where unsupported.
-};
 
 /** Streams Access records into a trace file. */
 class TraceWriter
@@ -123,11 +116,11 @@ class TraceReader : public AccessSource
 {
   public:
     /**
-     * Open @p path. Throws std::runtime_error on malformed files with
-     * a message naming the file, offset, and expected-vs-found detail.
+     * Map @p path. Throws std::runtime_error on unreadable or
+     * malformed files with a message naming the file, offset, and
+     * expected-vs-found detail.
      */
-    explicit TraceReader(const std::string &path,
-                         TraceMode mode = TraceMode::Auto);
+    explicit TraceReader(const std::string &path);
 
     ~TraceReader();
 
@@ -144,9 +137,6 @@ class TraceReader : public AccessSource
 
     TraceFormat format() const { return format_; }
 
-    /** True when records are served from an mmap'd file. */
-    bool zeroCopy() const { return map_ != nullptr; }
-
     /** Meta string stored in the file (Packed format; else empty). */
     const std::string &meta() const { return meta_; }
 
@@ -156,29 +146,25 @@ class TraceReader : public AccessSource
     std::string meta_;
     std::shared_ptr<MmapFile> map_;
 
-    // Raw traces: either a loaded record vector or a pointer into the
-    // mapping, plus a plain record cursor.
-    std::vector<Access> records_;
+    // Raw traces: a pointer into the mapping plus a record cursor.
     const std::uint8_t *rawBase_ = nullptr;
     std::uint64_t cursor_ = 0;
 
-    // Packed traces: owned payload (Load) or mapped payload (Mmap,
-    // with the checkpoint table copied out), plus a decode cursor.
-    PackedTrace packed_;
+    // Packed traces: the mapped payload (with the checkpoint table
+    // copied out) plus a decode cursor.
     std::vector<TraceCheckpoint> checkpoints_;
     PackedTraceView view_;
     std::optional<PackedTraceCursor> packedCursor_;
 };
 
 /**
- * A version-2 packed trace pulled from disk: storage (owned or
- * mapped), a view over the payload, and the embedded meta string.
- * Used by the trace-arena cache, which wants graceful fallback on
- * corrupt files instead of TraceReader's exceptions.
+ * A version-2 packed trace pulled from disk: the mapping, a view over
+ * its payload, and the embedded meta string. Used by the trace-arena
+ * cache, which wants graceful fallback on corrupt files instead of
+ * TraceReader's exceptions.
  */
 struct PackedTraceFile
 {
-    PackedTrace owned;
     std::shared_ptr<MmapFile> map;
     std::vector<TraceCheckpoint> checkpoints;
     PackedTraceView view;
@@ -194,12 +180,11 @@ bool writePackedTraceFile(const std::string &path,
                           const std::string &meta, std::string *error);
 
 /**
- * Load a version-2 trace file into @p out (mmap-backed under
- * TraceMode::Auto where supported). Returns false and fills @p error
- * on any failure, including validation of the packed payload.
+ * Map a version-2 trace file into @p out. Returns false and fills
+ * @p error on any failure, including validation of the packed payload.
  */
-bool loadPackedTraceFile(const std::string &path, TraceMode mode,
-                         PackedTraceFile *out, std::string *error);
+bool loadPackedTraceFile(const std::string &path, PackedTraceFile *out,
+                         std::string *error);
 
 /**
  * Record @p count accesses from @p source into @p path.

@@ -1,23 +1,18 @@
 #include "util/mmap_file.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CAMEO_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
-#else
-#define CAMEO_HAVE_MMAP 0
-#endif
 
 namespace cameo
 {
 
 MmapFile::MmapFile(const std::string &path)
 {
-#if CAMEO_HAVE_MMAP
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         error_ = "cannot open " + path + ": " + std::strerror(errno);
@@ -45,23 +40,12 @@ MmapFile::MmapFile(const std::string &path)
     }
     data_ = static_cast<const std::uint8_t *>(map);
     size_ = length;
-#else
-    error_ = "mmap is not supported on this platform (" + path + ")";
-#endif
 }
 
 MmapFile::~MmapFile()
 {
-#if CAMEO_HAVE_MMAP
     if (data_ != nullptr)
         ::munmap(const_cast<std::uint8_t *>(data_), size_);
-#endif
-}
-
-bool
-MmapFile::supported()
-{
-    return CAMEO_HAVE_MMAP != 0;
 }
 
 } // namespace cameo

@@ -8,9 +8,8 @@
  * reads page directly from the OS page cache and multiple concurrent
  * processes replaying the same trace share one physical copy.
  *
- * On platforms without mmap support the wrapper reports !valid() and
- * callers fall back to buffered loading, so portability costs only the
- * zero-copy property, never correctness.
+ * The build is POSIX-only (util/fs_lock.cc and shard/fleet.cc need
+ * <unistd.h> too), so every trace file is read through a mapping.
  */
 
 #ifndef CAMEO_UTIL_MMAP_FILE_HH
@@ -29,8 +28,8 @@ class MmapFile
   public:
     /**
      * Map @p path read-only. On any failure (missing file, empty file,
-     * unsupported platform) the object is constructed with
-     * valid() == false; the failure reason is available via error().
+     * mmap error) the object is constructed with valid() == false; the
+     * failure reason is available via error().
      */
     explicit MmapFile(const std::string &path);
 
@@ -50,9 +49,6 @@ class MmapFile
 
     /** Human-readable failure reason when !valid(). */
     const std::string &error() const { return error_; }
-
-    /** True when this build can map files at all. */
-    static bool supported();
 
   private:
     const std::uint8_t *data_ = nullptr;

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "snapshot/snapshot.hh"
 #include "snapshot_common.hh"
 #include "system/system.hh"
+#include "trace/generator.hh"
 #include "trace/workloads.hh"
 
 namespace cameo
@@ -181,17 +183,23 @@ TEST(FidelityFunctionalTest, StateInvariantToRefillBatch)
 }
 
 /** Arena replay must feed the functional loop the exact stream fresh
- *  generation would. */
+ *  generation would (the generator side bypasses the arena through
+ *  SystemConfig::sourceFactory). */
 TEST(FidelityFunctionalTest, StateInvariantToArenaSourcing)
 {
     const WorkloadProfile &wl = *findWorkload("milc");
     for (const auto &[label, kind] : kAllOrgs) {
         SCOPED_TRACE(label);
-        SystemConfig generator =
+        const SystemConfig arena =
             fidelityConfig(TimingMode::Blocking, WarmupPolicy::Functional);
-        generator.useTraceArena = false;
-        SystemConfig arena = generator;
-        arena.useTraceArena = true;
+        SystemConfig generator = arena;
+        generator.sourceFactory =
+            [](std::uint32_t, const WorkloadProfile &profile,
+               const GeneratorParams &params,
+               std::uint64_t seed) -> std::unique_ptr<AccessSource> {
+            return std::make_unique<SyntheticGenerator>(profile, params,
+                                                        seed);
+        };
 
         System from_generator(generator, kind, wl);
         (void)from_generator.run();

@@ -3,7 +3,8 @@
  * Tests for the trace-arena subsystem (trace/trace_arena.hh): packed
  * replay bit-identity against fresh generation, cursor skip semantics,
  * cache sharing/eviction/concurrency, disk persistence, and
- * system-level equivalence of arena-on and arena-off runs.
+ * system- and sweep-level equivalence of arena replay (the default
+ * stream path) and generator-sourced runs.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -57,6 +60,20 @@ sameAccess(const Access &a, const Access &b)
     return a.pc == b.pc && a.vaddr == b.vaddr &&
            a.isWrite == b.isWrite && a.dependsOnPrev == b.dependsOnPrev &&
            a.gapInstructions == b.gapInstructions;
+}
+
+/** @p config with every core's stream built by a fresh generator
+ *  (the arena's reference), through SystemConfig::sourceFactory. */
+SystemConfig
+generatorSourced(SystemConfig config)
+{
+    config.sourceFactory =
+        [](std::uint32_t, const WorkloadProfile &profile,
+           const GeneratorParams &params,
+           std::uint64_t seed) -> std::unique_ptr<AccessSource> {
+        return std::make_unique<SyntheticGenerator>(profile, params, seed);
+    };
+    return config;
 }
 
 /** Pull @p n records via batches of @p batch. */
@@ -239,15 +256,30 @@ TEST(ArenaCacheTest, EvictsLeastRecentlyUsedOverCap)
 
 TEST(ArenaCacheTest, ZeroCapDisablesCaching)
 {
+    // Cap 0 keeps nothing resident: each acquire records the stream
+    // again, and its arena lives only as long as its replay source.
     TraceArenaCache cache(0);
-    EXPECT_FALSE(cache.enabled());
     const WorkloadProfile &wl = *findWorkload("astar");
-    const auto source = cache.source(wl, smallParams(), 4, 1000);
-    SyntheticGenerator gen(wl, smallParams(), 4);
-    for (int i = 0; i < 500; ++i)
-        ASSERT_TRUE(sameAccess(source->next(), gen.next()));
-    EXPECT_EQ(cache.stats().recordings, 0u);
-    EXPECT_EQ(cache.stats().residentBytes, 0u);
+    for (std::uint64_t acquires = 1; acquires <= 2; ++acquires) {
+        const auto source = cache.source(wl, smallParams(), 4, 1000);
+        SyntheticGenerator gen(wl, smallParams(), 4);
+        for (int i = 0; i < 500; ++i)
+            ASSERT_TRUE(sameAccess(source->next(), gen.next()));
+        const TraceArenaStats stats = cache.stats();
+        EXPECT_EQ(stats.recordings, acquires);
+        EXPECT_EQ(stats.hits, 0u);
+        EXPECT_EQ(stats.residentBytes, 0u);
+    }
+}
+
+TEST(ArenaCacheTest, CapFromMbRejectsOverflow)
+{
+    EXPECT_EQ(TraceArenaCache::capBytesFromMb(0), 0u);
+    EXPECT_EQ(TraceArenaCache::capBytesFromMb(512), 512ull << 20);
+    EXPECT_EQ(TraceArenaCache::capBytesFromMb((1ull << 44) - 1),
+              ((1ull << 44) - 1) << 20);
+    // 2^44 MB is 2^64 bytes, which would wrap to a 0-byte cap.
+    EXPECT_EQ(TraceArenaCache::capBytesFromMb(1ull << 44), std::nullopt);
 }
 
 TEST(ArenaCacheTest, ConcurrentAcquiresRecordOnce)
@@ -372,10 +404,9 @@ TEST(ArenaSystemTest, ArenaRunMatchesDirectRun)
 {
     // The global cache instance is what System consults; these runs
     // are tiny, so residency is negligible.
-    SystemConfig direct_config = tinyConfig();
-    direct_config.accessesPerCore = 5000;
-    SystemConfig arena_config = direct_config;
-    arena_config.useTraceArena = true;
+    SystemConfig arena_config = tinyConfig();
+    arena_config.accessesPerCore = 5000;
+    const SystemConfig direct_config = generatorSourced(arena_config);
 
     for (const OrgKind kind :
          {OrgKind::Cameo, OrgKind::TlmOracle, OrgKind::AlloyCache}) {
@@ -396,11 +427,10 @@ TEST(ArenaSystemTest, ArenaRunMatchesDirectRun)
 
 TEST(ArenaSystemTest, WarmupRunsMatchWithAndWithoutArena)
 {
-    SystemConfig direct_config = tinyConfig();
-    direct_config.accessesPerCore = 4000;
-    direct_config.warmupAccessesPerCore = 1500;
-    SystemConfig arena_config = direct_config;
-    arena_config.useTraceArena = true;
+    SystemConfig arena_config = tinyConfig();
+    arena_config.accessesPerCore = 4000;
+    arena_config.warmupAccessesPerCore = 1500;
+    const SystemConfig direct_config = generatorSourced(arena_config);
 
     const WorkloadProfile &wl = *findWorkload("milc");
     for (const OrgKind kind : {OrgKind::Cameo, OrgKind::TlmOracle}) {
@@ -434,21 +464,23 @@ TEST(ArenaSweepTest, ComparisonRowsIdenticalWithAndWithoutArena)
     base.accessesPerCore = 4000;
     const std::vector<WorkloadProfile> workloads = {
         *findWorkload("mcf"), *findWorkload("milc")};
-    std::vector<DesignPoint> points;
-    points.push_back(DesignPoint{"cameo", OrgKind::Cameo, base});
-    points.push_back(DesignPoint{"oracle", OrgKind::TlmOracle, base});
+    const SystemConfig direct = generatorSourced(base);
+    const std::vector<DesignPoint> arena_points{
+        {"cameo", OrgKind::Cameo, base},
+        {"oracle", OrgKind::TlmOracle, base}};
+    const std::vector<DesignPoint> direct_points{
+        {"cameo", OrgKind::Cameo, direct},
+        {"oracle", OrgKind::TlmOracle, direct}};
 
     SweepOptions with_arena;
     with_arena.jobs = 2;
-    with_arena.traceArena = true;
     SweepOptions without_arena;
     without_arena.jobs = 1;
-    without_arena.traceArena = false;
 
     const auto rows_arena =
-        runComparison(base, points, workloads, with_arena);
+        runComparison(base, arena_points, workloads, with_arena);
     const auto rows_direct =
-        runComparison(base, points, workloads, without_arena);
+        runComparison(direct, direct_points, workloads, without_arena);
     ASSERT_EQ(rows_arena.size(), rows_direct.size());
     for (std::size_t w = 0; w < rows_arena.size(); ++w) {
         EXPECT_EQ(rows_arena[w].baseline.execTime,

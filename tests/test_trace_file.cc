@@ -111,10 +111,10 @@ TEST(TraceFileTest, RecordTraceHelper)
 
 /** The message a TraceReader construction fails with. */
 std::string
-openError(const std::string &path, TraceMode mode = TraceMode::Auto)
+openError(const std::string &path)
 {
     try {
-        TraceReader reader(path, mode);
+        TraceReader reader(path);
     } catch (const std::runtime_error &e) {
         return e.what();
     }
@@ -196,29 +196,6 @@ TEST(TraceFileTest, RejectsUnsupportedVersion)
     const std::string msg = openError(file.path());
     EXPECT_NE(msg.find("version 99"), std::string::npos) << msg;
     EXPECT_NE(msg.find("offset 8"), std::string::npos) << msg;
-}
-
-TEST(TraceFileTest, RawMmapMatchesLoadedReplay)
-{
-    TempFile file("cameo_test_raw_mmap.trc");
-    const WorkloadProfile &wl = *findWorkload("astar");
-    SyntheticGenerator gen(wl, smallParams(), 11);
-    ASSERT_EQ(recordTrace(gen, file.path(), 3000, TraceFormat::Raw),
-              3000u);
-
-    TraceReader loaded(file.path(), TraceMode::Load);
-    EXPECT_FALSE(loaded.zeroCopy());
-    TraceReader mapped(file.path(), TraceMode::Mmap);
-    EXPECT_TRUE(mapped.zeroCopy());
-    for (int i = 0; i < 6500; ++i) { // crosses two wraps
-        const Access a = loaded.next();
-        const Access b = mapped.next();
-        ASSERT_EQ(a.pc, b.pc);
-        ASSERT_EQ(a.vaddr, b.vaddr);
-        ASSERT_EQ(a.gapInstructions, b.gapInstructions);
-        ASSERT_EQ(a.isWrite, b.isWrite);
-        ASSERT_EQ(a.dependsOnPrev, b.dependsOnPrev);
-    }
 }
 
 TEST(TraceFileTest, ReaderSkipMatchesConsume)
@@ -349,7 +326,7 @@ TEST(PackedTraceTest, RoundTripPreservesAdversarialRecords)
     }
 }
 
-TEST(PackedTraceTest, FileRoundTripLoadAndMmap)
+TEST(PackedTraceTest, FileRoundTripMmap)
 {
     TempFile file("cameo_test_packed.trc");
     const WorkloadProfile &wl = *findWorkload("mcf");
@@ -372,23 +349,20 @@ TEST(PackedTraceTest, FileRoundTripLoadAndMmap)
     const auto file_bytes = std::filesystem::file_size(file.path());
     EXPECT_LT(file_bytes, 5000u * 12u);
 
-    for (const TraceMode mode : {TraceMode::Load, TraceMode::Mmap}) {
-        TraceReader reader(file.path(), mode);
-        ASSERT_EQ(reader.size(), 5000u);
-        EXPECT_EQ(reader.format(), TraceFormat::Packed);
-        EXPECT_EQ(reader.zeroCopy(), mode == TraceMode::Mmap);
-        EXPECT_EQ(reader.meta(), "unit-test-meta");
-        for (const Access &want : expected) {
-            const Access got = reader.next();
-            ASSERT_EQ(got.pc, want.pc);
-            ASSERT_EQ(got.vaddr, want.vaddr);
-            ASSERT_EQ(got.gapInstructions, want.gapInstructions);
-            ASSERT_EQ(got.isWrite, want.isWrite);
-            ASSERT_EQ(got.dependsOnPrev, want.dependsOnPrev);
-        }
-        // Wraps back to the first record.
-        EXPECT_EQ(reader.next().vaddr, expected[0].vaddr);
+    TraceReader reader(file.path());
+    ASSERT_EQ(reader.size(), 5000u);
+    EXPECT_EQ(reader.format(), TraceFormat::Packed);
+    EXPECT_EQ(reader.meta(), "unit-test-meta");
+    for (const Access &want : expected) {
+        const Access got = reader.next();
+        ASSERT_EQ(got.pc, want.pc);
+        ASSERT_EQ(got.vaddr, want.vaddr);
+        ASSERT_EQ(got.gapInstructions, want.gapInstructions);
+        ASSERT_EQ(got.isWrite, want.isWrite);
+        ASSERT_EQ(got.dependsOnPrev, want.dependsOnPrev);
     }
+    // Wraps back to the first record.
+    EXPECT_EQ(reader.next().vaddr, expected[0].vaddr);
 }
 
 TEST(PackedTraceTest, RejectsCorruptPackedPayload)
@@ -441,8 +415,7 @@ TEST(PackedTraceTest, HelperRoundTripPreservesMeta)
                                      "the-cache-key", &error))
         << error;
     PackedTraceFile loaded;
-    ASSERT_TRUE(loadPackedTraceFile(file.path(), TraceMode::Auto,
-                                    &loaded, &error))
+    ASSERT_TRUE(loadPackedTraceFile(file.path(), &loaded, &error))
         << error;
     EXPECT_EQ(loaded.meta, "the-cache-key");
     EXPECT_EQ(loaded.view.count, records.size());

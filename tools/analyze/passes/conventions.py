@@ -12,8 +12,9 @@ shared lexer so one tool owns repo conventions.
                                 src/orgs (use util/flat_map.hh)
   conventions/dram-pipeline     direct DramModule::access in pipeline
                                 layers (use DramModule::request)
-  conventions/generator-use     direct SyntheticGenerator in sweep or
-                                bench code (use TraceArenaCache)
+  conventions/generator-use     direct SyntheticGenerator outside
+                                src/trace and tests (use
+                                TraceArenaCache)
 """
 
 from __future__ import annotations
@@ -90,14 +91,25 @@ DRAM_ACCESS_RE = re.compile(
 )
 
 # Layers that must obtain access streams from the trace-arena cache
-# (record once, replay everywhere) instead of constructing generators.
-GENERATOR_BAN_DIRS = ("src/exp", "bench")
+# (record once, replay everywhere) instead of constructing generators:
+# the arena is the one stream path, so a generator fallback in System
+# or a tool fails the gate.
+GENERATOR_BAN_DIRS = (
+    "src/exp",
+    "src/system",
+    "src/shard",
+    "bench",
+    "tools",
+    "examples",
+)
 
 # Files allowed to construct SyntheticGenerator directly: benches whose
-# whole point is measuring the raw generator against arena replay.
+# whole point is measuring the raw generator against arena replay, and
+# trace_tools, which writes a generator's stream to a file.
 GENERATOR_ALLOWLIST = {
     "bench/micro_components.cc",
     "bench/perf_arena.cc",
+    "examples/trace_tools.cpp",
 }
 
 GENERATOR_RE = re.compile(r"\bSyntheticGenerator\b")

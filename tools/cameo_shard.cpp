@@ -13,7 +13,7 @@
  * Flags:
  *   --workloads   comma-separated Table II benchmark names (default milc)
  *   --orgs        comma-separated organization names         (default cameo)
- *   --accesses    L3-level accesses per core                 (default 200000)
+ *   --accesses    L3-level accesses per core (>= 1)          (default 200000)
  *   --cores       number of cores                            (default 8)
  *   --stacked-mb  stacked DRAM capacity in MB                (default 8)
  *   --offchip-mb  off-chip DRAM capacity in MB               (default 24)
@@ -182,6 +182,10 @@ main(int argc, char **argv)
         std::cerr << "unknown --timing (blocking|queued)\n";
         return EXIT_FAILURE;
     }
+    if (accesses == 0) {
+        std::cerr << "error: --accesses must be at least 1\n";
+        return EXIT_FAILURE;
+    }
     config.warmupAccessesPerCore = warmup;
     if (warmup != 0 && warmup >= accesses) {
         std::cerr << "error: --warmup must be smaller than "
@@ -208,7 +212,6 @@ main(int argc, char **argv)
     // of them record each stream.
     if (!trace_dir.empty())
         TraceArenaCache::instance().setCacheDir(trace_dir);
-    config.useTraceArena = org_names.size() > 1 || !trace_dir.empty();
 
     // The job matrix: workloads (outer) x organizations (inner), in
     // flag order. Every mode — in-process, orchestrator, worker —
