@@ -22,7 +22,7 @@
  *
  * Output: a stdout table plus BENCH_banshee.json with one record per
  * (workload, organization) and per-org total-traffic summaries,
- * consumed by CI's perf-smoke artifact upload and EXPERIMENTS.md's
+ * consumed by CI's extension-smoke artifact upload and EXPERIMENTS.md's
  * Banshee section.
  */
 

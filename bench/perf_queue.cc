@@ -4,12 +4,12 @@
  * achieved off-chip bandwidth, and controller queue occupancy on the
  * bandwidth-heavy Table-IV workloads.
  *
- * Unlike perf_hotpath (which times the simulator), this bench measures
- * the *simulated machine*: how much the DRAM controller queues — the
- * bounded in-service read window and the posted-write drain — stretch
- * execution relative to the contention-free Blocking mode, and how
- * deep the queues actually run (p50/p95/p99 occupancy from the
- * stats/distribution percentiles).
+ * An extension bench: it measures the *simulated machine*, not the
+ * simulator's speed (perfbench/ does that): how much the DRAM
+ * controller queues — the bounded in-service read window and the
+ * posted-write drain — stretch execution relative to the
+ * contention-free Blocking mode, and how deep the queues actually run
+ * (p50/p95/p99 occupancy from the stats/distribution percentiles).
  *
  * Environment:
  *   CAMEO_BENCH_ACCESSES   accesses per core per run (default: the
@@ -20,7 +20,7 @@
  *   CAMEO_BENCH_QUEUE_OUT  output JSON path (default BENCH_queue.json)
  *
  * Output: a stdout table plus BENCH_queue.json with one record per
- * (workload, organization), consumed by CI's queued perf-smoke
+ * (workload, organization), consumed by CI's extension-smoke
  * artifact upload and EXPERIMENTS.md's contention section.
  */
 

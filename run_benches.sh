@@ -1,6 +1,8 @@
 #!/bin/sh
 # Regenerates bench_output.txt: every paper figure/table at full
-# settings, extension/ablation benches on a representative subset.
+# settings, ablations and mix_study on a representative subset, then
+# the perf_queue/perf_banshee extension benches (simulated results,
+# not host time; the simulator's own speed is perfbench/'s job).
 # Set CAMEO_BENCH_JOBS=$(nproc) to run each bench's simulation grid on
 # all cores; tables are bit-identical to a serial run.
 #
@@ -19,7 +21,7 @@ if [ ! -d build/bench ]; then
     echo "Build first:  cmake -B build -S . && cmake --build build -j" >&2
     exit 1
 fi
-for b in fig02_motivation perf_hotpath perf_queue perf_warmup perf_banshee; do
+for b in fig02_motivation perf_queue perf_banshee; do
     if [ ! -x "build/bench/$b" ]; then
         echo "error: build/bench/$b missing or not executable." >&2
         echo "Rebuild:  cmake --build build -j" >&2
@@ -65,14 +67,8 @@ for b in ablation_llp_table ablation_capacity_ratio ablation_cameo_freq \
     run_bench "bench/$b (workload subset: $CAMEO_BENCH_WORKLOADS)" "$b"
 done
 unset CAMEO_BENCH_WORKLOADS
-run_bench "bench/micro_components" micro_components --benchmark_min_time=0.2
-run_bench "bench/perf_hotpath (simulator throughput -> BENCH_hotpath.json)" \
-    perf_hotpath
-run_bench "bench/perf_queue (queued contention -> BENCH_queue.json)" \
-    perf_queue
-run_bench "bench/perf_warmup (functional warmup speedup -> BENCH_warmup.json)" \
-    perf_warmup
-run_bench "bench/perf_banshee (replacement traffic -> BENCH_banshee.json)" \
+run_bench "bench/perf_queue (extension bench -> BENCH_queue.json)" perf_queue
+run_bench "bench/perf_banshee (extension bench -> BENCH_banshee.json)" \
     perf_banshee
 
 echo "===================================================================="

@@ -10,12 +10,6 @@ DramModule::DramModule(std::string name, const DramTimings &timings,
                        std::uint64_t capacity_bytes)
     : name_(std::move(name)), timings_(timings), map_(timings),
       capacityLines_(capacity_bytes / kLineBytes),
-#if CAMEO_AUDIT_ENABLED
-      protoAudit_(name_, timings.channels, timings.banksPerChannel,
-                  DramProtocolParams{timings.rcdCycles(),
-                                     timings.rasCycles(),
-                                     timings.rpCycles()}),
-#endif
       casCyc_(timings.casCycles()), rcdCyc_(timings.rcdCycles()),
       rpCyc_(timings.rpCycles()), rasCyc_(timings.rasCycles()),
       refiCyc_(timings.refiCycles()), rfcCyc_(timings.rfcCycles()),
@@ -24,6 +18,12 @@ DramModule::DramModule(std::string name, const DramTimings &timings,
       beatShift_(isPowerOfTwo(bytesPerBeat_)
                      ? static_cast<std::int32_t>(exactLog2(bytesPerBeat_))
                      : -1),
+#if CAMEO_AUDIT_ENABLED
+      protoAudit_(name_, timings.channels, timings.banksPerChannel,
+                  DramProtocolParams{timings.rcdCycles(),
+                                     timings.rasCycles(),
+                                     timings.rpCycles()}),
+#endif
       reads_(name_ + ".reads", "read accesses"),
       writes_(name_ + ".writes", "write accesses"),
       readBytes_(name_ + ".readBytes", "bytes moved by reads"),
@@ -60,13 +60,13 @@ DramModule::request(Tick now, std::uint64_t device_line, bool is_write,
                     std::uint32_t burst_bytes)
 {
     if (mode_ == TimingMode::Blocking)
-        return access(now, device_line, is_write, burst_bytes);
+        return blockingRequest(now, device_line, is_write, burst_bytes);
     return queuedRequest(now, device_line, is_write, burst_bytes);
 }
 
 Tick
-DramModule::access(Tick now, std::uint64_t device_line, bool is_write,
-                   std::uint32_t burst_bytes)
+DramModule::blockingRequest(Tick now, std::uint64_t device_line,
+                            bool is_write, std::uint32_t burst_bytes)
 {
     assert(device_line < capacityLines_ && "device address out of range");
 

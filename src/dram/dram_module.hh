@@ -66,14 +66,15 @@ class DramModule
 
     /**
      * Service one device command through the active timing mode — the
-     * only entry point the memory pipeline (organizations, CAMEO
-     * controller) may use; `tools/analyze` enforces that discipline.
+     * module's only command entry point.
      *
-     * Blocking mode forwards to the legacy access() shim. Queued mode
-     * routes the command through the per-channel controller queues:
-     * writes post into the write buffer (FR-FCFS forced drains at the
-     * high watermark), reads stall behind a full in-service window and
-     * then reserve bank/bus resources exactly as access() does.
+     * Blocking mode posts writes at half-burst bus cost and reserves
+     * bank/bus resources for reads immediately (blockingRequest).
+     * Queued mode routes the command through the per-channel
+     * controller queues: writes post into the write buffer (FR-FCFS
+     * forced drains at the high watermark), reads stall behind a full
+     * in-service window and then reserve bank/bus resources exactly as
+     * Blocking reads do.
      *
      * @param now         Earliest time the command may issue.
      * @param device_line Line index within this device.
@@ -85,22 +86,6 @@ class DramModule
      */
     Tick request(Tick now, std::uint64_t device_line, bool is_write,
                  std::uint32_t burst_bytes = kLineBytes);
-
-    /**
-     * Blocking timing shim: writes are posted at half-burst bus cost,
-     * reads reserve bank/bus resources immediately. Kept as the
-     * reference semantics (golden-stats bit-identity) and for direct
-     * device-level tests; pipeline callers go through request().
-     *
-     * @param now         Earliest time the command may issue.
-     * @param device_line Line index within this device.
-     * @param is_write    Write (writeback/fill) or read.
-     * @param burst_bytes Data moved: 64 for a plain line, 80 for a
-     *                    CAMEO LEAD or Alloy TAD burst.
-     * @return Completion time (data fully transferred).
-     */
-    Tick access(Tick now, std::uint64_t device_line, bool is_write,
-                std::uint32_t burst_bytes = kLineBytes);
 
     /**
      * Select the timing mode. Queued mode allocates the per-channel
@@ -231,6 +216,15 @@ class DramModule
      */
     Tick serviceCommand(Tick earliest, const DramCoord &coord,
                         std::uint32_t burst_bytes);
+
+    /**
+     * Blocking-mode service of one command: a write is posted at
+     * half-burst bus cost and never touches a bank; a read reserves
+     * bank/bus resources immediately. The golden-stats reference
+     * semantics (DESIGN.md §9).
+     */
+    Tick blockingRequest(Tick now, std::uint64_t device_line,
+                         bool is_write, std::uint32_t burst_bytes);
 
     /** Queued-mode service of one read or posted write. */
     Tick queuedRequest(Tick now, std::uint64_t device_line, bool is_write,

@@ -2,13 +2,13 @@
  * @file
  * Host-side wall-clock stopwatch for sweep telemetry.
  *
- * This is the one sanctioned wall-clock in the tree outside
- * google-benchmark: the sweep engine (src/exp) reports per-job
- * durations and aggregate throughput, which are properties of the
- * *host*, not of the simulation. Wall-clock readings must never feed
- * simulation state — simulated results stay bit-reproducible — which
- * is why tools/analyze bans <chrono> clocks everywhere else and
- * exempts exactly this wrapper.
+ * This is the one sanctioned wall-clock in the simulator (perfbench/
+ * is a separate build with its own): the sweep engine (src/exp)
+ * reports per-job durations and aggregate throughput, which are
+ * properties of the *host*, not of the simulation. Wall-clock
+ * readings must never feed simulation state — simulated results stay
+ * bit-reproducible — which is why tools/analyze bans <chrono> clocks
+ * everywhere else and exempts exactly this wrapper.
  */
 
 #ifndef CAMEO_EXP_STOPWATCH_HH

@@ -185,32 +185,22 @@ SweepRunner::run(std::vector<SweepJob> jobs)
 }
 
 std::vector<SpeedupRow>
-runComparison(const SystemConfig &base_config,
+runComparison(const SystemConfig &base,
               std::span<const DesignPoint> points,
               std::span<const WorkloadProfile> workloads,
               const SweepOptions &options)
 {
-    // The warmup-policy override applies to local config copies (the
-    // originals are the caller's).
-    SystemConfig base = base_config;
-    std::vector<DesignPoint> run_points(points.begin(), points.end());
-    if (options.warmupPolicy) {
-        base.warmupPolicy = *options.warmupPolicy;
-        for (DesignPoint &point : run_points)
-            point.config.warmupPolicy = *options.warmupPolicy;
-    }
-
     // Job layout: for each workload, the baseline run followed by one
     // run per design point. The flat index encodes the (row, column)
     // slot, so reassembly below is pure arithmetic.
     std::vector<SweepJob> jobs;
-    jobs.reserve(workloads.size() * (run_points.size() + 1));
+    jobs.reserve(workloads.size() * (points.size() + 1));
     for (const WorkloadProfile &wl : workloads) {
         jobs.push_back(
             {wl.name + "/baseline", [&base, wl] {
                  return runWorkload(base, OrgKind::Baseline, wl);
              }});
-        for (const DesignPoint &point : run_points) {
+        for (const DesignPoint &point : points) {
             jobs.push_back(
                 {wl.name + "/" + point.label, [&point, wl] {
                      return runWorkload(point.config, point.kind, wl);

@@ -31,13 +31,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "exp/progress.hh"
 #include "exp/experiment.hh"
-#include "sim/fidelity.hh"
 
 namespace cameo
 {
@@ -69,15 +67,6 @@ struct SweepOptions
      * results do not depend on execution order.
      */
     std::uint64_t shuffleSeed = 0;
-
-    /**
-     * When set, runComparison() overrides every config's warmup policy
-     * with this value (on its local copies). Lets warmup-heavy sweeps
-     * fast-forward through their warmup at functional fidelity
-     * (DESIGN.md §13) without editing each design point. Configs whose
-     * warmupAccessesPerCore is 0 are unaffected.
-     */
-    std::optional<WarmupPolicy> warmupPolicy;
 };
 
 /** Host-side measurements of the last SweepRunner::run call. */
@@ -135,7 +124,7 @@ class SweepRunner
  * bit-identical to the serial harness for any worker count.
  */
 std::vector<SpeedupRow>
-runComparison(const SystemConfig &base_config,
+runComparison(const SystemConfig &base,
               std::span<const DesignPoint> points,
               std::span<const WorkloadProfile> workloads,
               const SweepOptions &options);

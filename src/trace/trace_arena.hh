@@ -166,8 +166,6 @@ class TraceArenaCache
      */
     static std::optional<std::uint64_t> capBytesFromMb(std::uint64_t mb);
 
-    std::uint64_t capBytes() const { return capBytes_; }
-
     /**
      * The arena for (profile, params, seed) holding @p count records.
      * First caller records (or loads from the cache directory); every

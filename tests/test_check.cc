@@ -198,8 +198,8 @@ TEST_F(DramProtocolAuditorTest, RealModuleCommandStreamIsLegal)
         // Jittered, occasionally regressing arrival times.
         now += rng.next(200);
         const Tick at = now - rng.next(std::min<std::uint64_t>(now, 50));
-        mod.access(at, rng.next(mod.capacityLines()), rng.chance(0.3),
-                   kLineBytes);
+        mod.request(at, rng.next(mod.capacityLines()), rng.chance(0.3),
+                    kLineBytes);
     }
     EXPECT_EQ(AuditSink::global().failures(), 0u);
 }

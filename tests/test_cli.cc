@@ -170,7 +170,7 @@ TEST(RefreshTest, DisabledByDefault)
     const DramTimings t = offchipTimings();
     EXPECT_EQ(t.tRefi, 0u);
     DramModule mod("t", t, 1 << 20);
-    mod.access(0, 0, false, 64);
+    mod.request(0, 0, false, 64);
     EXPECT_EQ(mod.refreshStalls().value(), 0u);
 }
 
@@ -182,12 +182,12 @@ TEST(RefreshTest, StallsAccessesInRefreshWindow)
     DramModule mod("t", t, 1 << 20);
     // An access at the very start of a refresh window is pushed past
     // it: latency = rfc + idle latency.
-    const Tick done = mod.access(0, 0, false, 64);
+    const Tick done = mod.request(0, 0, false, 64);
     EXPECT_EQ(done, t.rfcCycles() + t.idleLatency(64));
     EXPECT_EQ(mod.refreshStalls().value(), 1u);
     // An access in the middle of the period is unaffected.
     const Tick mid = t.refiCycles() / 2;
-    const Tick done2 = mod.access(mid, 1, false, 64);
+    const Tick done2 = mod.request(mid, 1, false, 64);
     EXPECT_EQ(done2, mid + t.idleLatency(64));
     EXPECT_EQ(mod.refreshStalls().value(), 1u);
 }
@@ -200,8 +200,8 @@ TEST(RefreshTest, PeriodicityAcrossWindows)
     DramModule mod("t", t, 1 << 20);
     // Hit the start of several consecutive refresh windows.
     for (int k = 1; k <= 5; ++k)
-        mod.access(static_cast<Tick>(k) * t.refiCycles() + 1,
-                   static_cast<std::uint64_t>(k) * 1000, false, 64);
+        mod.request(static_cast<Tick>(k) * t.refiCycles() + 1,
+                    static_cast<std::uint64_t>(k) * 1000, false, 64);
     EXPECT_EQ(mod.refreshStalls().value(), 5u);
 }
 
@@ -216,11 +216,11 @@ TEST(RefreshTest, ThroughputCostMatchesDutyCycle)
     DramModule refreshed("r", t, 1 << 22);
     Tick done_p = 0, done_r = 0;
     for (int i = 0; i < 20000; ++i) {
-        done_p = plain.access(0, static_cast<std::uint64_t>(i) % 60000,
-                              false, 64);
-        done_r = refreshed.access(0,
-                                  static_cast<std::uint64_t>(i) % 60000,
-                                  false, 64);
+        done_p = plain.request(0, static_cast<std::uint64_t>(i) % 60000,
+                               false, 64);
+        done_r = refreshed.request(0,
+                                   static_cast<std::uint64_t>(i) % 60000,
+                                   false, 64);
     }
     const double ratio =
         static_cast<double>(done_r) / static_cast<double>(done_p);

@@ -130,7 +130,7 @@ class DramModuleTest : public ::testing::Test
 
 TEST_F(DramModuleTest, IdleReadLatencyMatchesClosedRowFormula)
 {
-    const Tick done = mod_.access(0, 0, false, 64);
+    const Tick done = mod_.request(0, 0, false, 64);
     // Closed row: tRCD + tCAS + burst = (9+9)*4 + 16 = 88 cycles.
     EXPECT_EQ(done, offchipTimings().idleLatency(64));
     EXPECT_EQ(mod_.rowClosed().value(), 1u);
@@ -158,15 +158,15 @@ TEST_F(DramModuleTest, RowHitIsFasterThanConflict)
     ASSERT_NE(same_row, 0u);
     ASSERT_NE(other_row, 0u);
 
-    const Tick t1 = mod_.access(0, 0, false, 64);
-    const Tick t2 = mod_.access(t1, same_row, false, 64);
+    const Tick t1 = mod_.request(0, 0, false, 64);
+    const Tick t2 = mod_.request(t1, same_row, false, 64);
     EXPECT_EQ(mod_.rowHits().value(), 1u);
     const Tick hit_latency = t2 - t1;
 
     // Far later (tRAS satisfied), a different row conflicts and is
     // slower than the hit.
     const Tick t3 = t2 + 10000;
-    const Tick t4 = mod_.access(t3, other_row, false, 64);
+    const Tick t4 = mod_.request(t3, other_row, false, 64);
     EXPECT_EQ(mod_.rowConflicts().value(), 1u);
     EXPECT_GT(t4 - t3, hit_latency);
 }
@@ -187,16 +187,16 @@ TEST_F(DramModuleTest, ChannelBusSerializesSimultaneousAccesses)
         }
     }
     ASSERT_NE(other, 0u);
-    const Tick t1 = mod_.access(0, 0, false, 64);
-    const Tick t2 = mod_.access(0, other, false, 64);
+    const Tick t1 = mod_.request(0, 0, false, 64);
+    const Tick t2 = mod_.request(0, other, false, 64);
     EXPECT_NE(t1, t2);
 }
 
 TEST_F(DramModuleTest, ByteAccountingExact)
 {
-    mod_.access(0, 1, false, 64);
-    mod_.access(0, 2, false, 80);
-    mod_.access(0, 3, true, 64);
+    mod_.request(0, 1, false, 64);
+    mod_.request(0, 2, false, 80);
+    mod_.request(0, 3, true, 64);
     EXPECT_EQ(mod_.readBytes().value(), 144u);
     EXPECT_EQ(mod_.writeBytes().value(), 64u);
     EXPECT_EQ(mod_.bytesTransferred(), 208u);
@@ -220,20 +220,20 @@ TEST_F(DramModuleTest, WritesDoNotDisturbRowState)
         }
     }
     ASSERT_NE(same_row, 0u);
-    const Tick t1 = mod_.access(0, 0, false, 64);
-    mod_.access(t1, 999 * 512, true, 64);
-    mod_.access(t1, same_row, false, 64);
+    const Tick t1 = mod_.request(0, 0, false, 64);
+    mod_.request(t1, 999 * 512, true, 64);
+    mod_.request(t1, same_row, false, 64);
     EXPECT_EQ(mod_.rowHits().value(), 1u);
 }
 
 TEST_F(DramModuleTest, ResetClearsStateAndStats)
 {
-    mod_.access(0, 0, false, 64);
+    mod_.request(0, 0, false, 64);
     mod_.reset();
     EXPECT_EQ(mod_.reads().value(), 0u);
     EXPECT_EQ(mod_.bytesTransferred(), 0u);
     // After reset the same access sees a closed row again.
-    mod_.access(0, 0, false, 64);
+    mod_.request(0, 0, false, 64);
     EXPECT_EQ(mod_.rowClosed().value(), 1u);
 }
 
@@ -242,7 +242,7 @@ TEST_F(DramModuleTest, MonotonicReservationUnderLoad)
     // Hammer one line: completions must be strictly increasing.
     Tick prev = 0;
     for (int i = 0; i < 100; ++i) {
-        const Tick done = mod_.access(0, 0, false, 64);
+        const Tick done = mod_.request(0, 0, false, 64);
         EXPECT_GT(done, prev);
         prev = done;
     }
@@ -250,7 +250,7 @@ TEST_F(DramModuleTest, MonotonicReservationUnderLoad)
 
 TEST_F(DramModuleTest, LatencyDistributionSampled)
 {
-    mod_.access(100, 0, false, 64);
+    mod_.request(100, 0, false, 64);
     EXPECT_EQ(mod_.readLatency().count(), 1u);
     EXPECT_EQ(mod_.readLatency().minValue(),
               offchipTimings().idleLatency(64));
@@ -284,7 +284,7 @@ TEST(DramModuleExtraTest, EarliestServiceStartTracksReservations)
 {
     DramModule mod("t.ess", offchipTimings(), 1ull << 26);
     EXPECT_EQ(mod.earliestServiceStart(0), 0u);
-    const Tick done = mod.access(0, 0, false, 64);
+    const Tick done = mod.request(0, 0, false, 64);
     // The same line's resources are now reserved into the future.
     EXPECT_GT(mod.earliestServiceStart(0), 0u);
     EXPECT_LE(mod.earliestServiceStart(0), done);
@@ -302,7 +302,7 @@ TEST(DramModuleExtraTest, WriteDrainHalvesBusOccupancy)
     const Tick burst = offchipTimings().burstCycles(64);
     Tick done = 0;
     for (int i = 0; i < 10; ++i)
-        done = mod.access(0, 0, true, 64);
+        done = mod.request(0, 0, true, 64);
     // Ten writes: bus advanced 10 * burst/2; the last completes one
     // full burst after its start.
     EXPECT_EQ(done, 9 * (burst / 2) + burst);

@@ -1,4 +1,4 @@
-"""Repo-convention pass: seven rules no compiler enforces, on the
+"""Repo-convention pass: six rules no compiler enforces, on the
 shared lexer so one tool owns repo conventions.
 
   conventions/include-guard     CAMEO_<DIR>_<FILE>_HH guards
@@ -10,8 +10,6 @@ shared lexer so one tool owns repo conventions.
   conventions/hygiene           tabs, trailing whitespace, final newline
   conventions/hot-path-container  std hash containers in src/vm,
                                 src/orgs (use util/flat_map.hh)
-  conventions/dram-pipeline     direct DramModule::access in pipeline
-                                layers (use DramModule::request)
   conventions/generator-use     direct SyntheticGenerator outside
                                 src/trace and tests (use
                                 TraceArenaCache)
@@ -31,7 +29,6 @@ RULES = [
     "conventions/nondeterminism",
     "conventions/hygiene",
     "conventions/hot-path-container",
-    "conventions/dram-pipeline",
     "conventions/generator-use",
 ]
 
@@ -72,24 +69,6 @@ HASH_MAP_INCLUDE_RE = re.compile(
     r"^\s*#\s*include\s*<(unordered_map|unordered_set)>"
 )
 
-# Layers that must reach DRAM devices through DramModule::request (the
-# transaction pipeline's entry point) rather than the blocking
-# DramModule::access shim.
-DRAM_PIPELINE_DIRS = ("src/orgs", "src/core", "src/system")
-
-# Pipeline-layer files allowed to call DramModule::access directly
-# (none today; the blocking shim lives in src/dram and is out of
-# scope).  Add "src/orgs/foo.cc" style paths here.
-DRAM_ACCESS_ALLOWLIST: set[str] = set()
-
-# DRAM modules are uniformly named stacked_/offchip_ or reached via the
-# stackedModule()/offchipModule() accessors; match .access( on any of
-# those spellings.
-DRAM_ACCESS_RE = re.compile(
-    r"(?:(?:stacked_|offchip_)\s*\.|stackedModule\(\)\s*->"
-    r"|offchipModule\(\)\s*\.)\s*access\s*\("
-)
-
 # Layers that must obtain access streams from the trace-arena cache
 # (record once, replay everywhere) instead of constructing generators:
 # the arena is the one stream path, so a generator fallback in System
@@ -103,12 +82,9 @@ GENERATOR_BAN_DIRS = (
     "examples",
 )
 
-# Files allowed to construct SyntheticGenerator directly: benches whose
-# whole point is measuring the raw generator against arena replay, and
-# trace_tools, which writes a generator's stream to a file.
+# Files allowed to construct SyntheticGenerator directly: trace_tools,
+# which writes a generator's stream to a file.
 GENERATOR_ALLOWLIST = {
-    "bench/micro_components.cc",
-    "bench/perf_arena.cc",
     "examples/trace_tools.cpp",
 }
 
@@ -223,25 +199,6 @@ def _check_hot_path_containers(
             )
 
 
-def _check_dram_pipeline(sf: SourceFile, findings: list[Finding]) -> None:
-    if not sf.rel.startswith(tuple(d + "/" for d in DRAM_PIPELINE_DIRS)):
-        return
-    if sf.rel in DRAM_ACCESS_ALLOWLIST:
-        return
-    for lineno, line in enumerate(sf.lexed.stripped.splitlines(), 1):
-        if DRAM_ACCESS_RE.search(line):
-            findings.append(
-                Finding(
-                    "conventions/dram-pipeline",
-                    sf.rel,
-                    lineno,
-                    "direct DramModule::access call in pipeline layer; "
-                    "use DramModule::request (or add to "
-                    "DRAM_ACCESS_ALLOWLIST)",
-                )
-            )
-
-
 def _check_generator_use(sf: SourceFile, findings: list[Finding]) -> None:
     if not sf.rel.startswith(tuple(d + "/" for d in GENERATOR_BAN_DIRS)):
         return
@@ -310,7 +267,6 @@ def run(repo: Repo) -> list[Finding]:
             _check_file_doc(sf, findings)
         _check_nondeterminism(sf, findings)
         _check_hot_path_containers(sf, findings)
-        _check_dram_pipeline(sf, findings)
         _check_generator_use(sf, findings)
         _check_hygiene(sf, findings)
     return findings
