@@ -9,8 +9,9 @@
 
 #include <iostream>
 
-#include "core/cameo_controller.hh"
 #include "core/lead_layout.hh"
+#include "core/line_location_predictor.hh"
+#include "core/line_location_table.hh"
 #include "stats/table.hh"
 #include "system/config.hh"
 

@@ -136,13 +136,15 @@ main(int argc, char **argv)
     SystemConfig config = defaultConfig();
     config.accessesPerCore = cli.getUint("accesses", 200'000);
     config.maxKernelSteps = cli.getUint("max-steps", 0);
-    config.numCores =
-        static_cast<std::uint32_t>(cli.getUint("cores", config.numCores));
-    config.stackedBytes = cli.getUint("stacked-mb", 8) << 20;
-    config.offchipBytes = cli.getUint("offchip-mb", 24) << 20;
+    config.numCores = static_cast<std::uint32_t>(
+        cli.getUint("cores", config.numCores, UINT32_MAX));
+    config.stackedBytes = cli.getUint("stacked-mb", 8, UINT64_MAX >> 20)
+                          << 20;
+    config.offchipBytes = cli.getUint("offchip-mb", 24, UINT64_MAX >> 20)
+                          << 20;
     config.seed = cli.getUint("seed", config.seed);
     config.llpTableEntries = static_cast<std::uint32_t>(
-        cli.getUint("llp-entries", config.llpTableEntries));
+        cli.getUint("llp-entries", config.llpTableEntries, UINT32_MAX));
 
     const std::string llt = cli.getString("llt", "colocated");
     if (llt == "ideal")
@@ -251,8 +253,8 @@ main(int argc, char **argv)
     const bool json = cli.getBool("json");
     const bool csv = cli.getBool("csv");
     const bool dump = cli.getBool("dump-stats") || json || csv;
-    const unsigned jobs =
-        static_cast<unsigned>(cli.getUint("jobs", want_baseline ? 0 : 1));
+    const unsigned jobs = static_cast<unsigned>(
+        cli.getUint("jobs", want_baseline ? 0 : 1, UINT32_MAX));
 
     for (const std::string &flag : cli.unknownFlags())
         std::cerr << "warning: unknown flag --" << flag << "\n";

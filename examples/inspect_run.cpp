@@ -7,6 +7,7 @@
  */
 
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "system/system.hh"
@@ -16,24 +17,25 @@
 namespace
 {
 
-cameo::OrgKind
-parseOrg(const std::string &s)
+/**
+ * Organization named @p name: any orgKindFromName spelling, or a CAMEO
+ * variant that also selects the predictor / LLT design in @p config.
+ * Empty for unknown names.
+ */
+std::optional<cameo::OrgKind>
+parseOrg(const std::string &name, cameo::SystemConfig &config)
 {
-    using cameo::OrgKind;
-    if (s == "baseline")
-        return OrgKind::Baseline;
-    if (s == "cache")
-        return OrgKind::AlloyCache;
-    if (s == "tlm-static")
-        return OrgKind::TlmStatic;
-    if (s == "tlm-dynamic")
-        return OrgKind::TlmDynamic;
-    if (s == "tlm-freq")
-        return OrgKind::TlmFreq;
-    if (s == "tlm-oracle")
-        return OrgKind::TlmOracle;
-    if (s == "doubleuse")
-        return OrgKind::DoubleUse;
+    using namespace cameo;
+    if (name == "cameo-sam")
+        config.predictorKind = PredictorKind::Sam;
+    else if (name == "cameo-perfect")
+        config.predictorKind = PredictorKind::Perfect;
+    else if (name == "cameo-ideal")
+        config.lltKind = LltKind::Ideal;
+    else if (name == "cameo-embedded")
+        config.lltKind = LltKind::Embedded;
+    else
+        return orgKindFromName(name);
     return OrgKind::Cameo;
 }
 
@@ -48,11 +50,20 @@ main(int argc, char **argv)
     const std::string workload_name = argc > 2 ? argv[2] : "milc";
     const WorkloadProfile *profile = findWorkload(workload_name);
     if (profile == nullptr) {
-        std::cerr << "unknown workload '" << workload_name << "'\n";
+        std::cerr << "error: unknown workload '" << workload_name
+                  << "' (cameo-sim --list shows them)\n";
         return 1;
     }
 
     SystemConfig config = defaultConfig();
+    const std::optional<OrgKind> kind = parseOrg(org_name, config);
+    if (!kind) {
+        std::cerr << "error: unknown org '" << org_name << "'; valid names:";
+        for (const OrgKind k : allOrgKinds())
+            std::cerr << ' ' << orgKindName(k);
+        std::cerr << " cameo-sam cameo-perfect cameo-ideal cameo-embedded\n";
+        return 1;
+    }
     if (argc > 3 && parseUintStrict(argv[3], config.accessesPerCore) !=
                     ParseUintStatus::Ok) {
         std::cerr << "error: accessesPerCore: expected an unsigned 64-bit "
@@ -60,18 +71,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // CAMEO variants: "cameo-sam", "cameo-perfect", "cameo-ideal",
-    // "cameo-embedded" select predictor / LLT design.
-    if (org_name == "cameo-sam")
-        config.predictorKind = PredictorKind::Sam;
-    else if (org_name == "cameo-perfect")
-        config.predictorKind = PredictorKind::Perfect;
-    else if (org_name == "cameo-ideal")
-        config.lltKind = LltKind::Ideal;
-    else if (org_name == "cameo-embedded")
-        config.lltKind = LltKind::Embedded;
-
-    System system(config, parseOrg(org_name), *profile);
+    System system(config, *kind, *profile);
     const RunResult r = system.run();
 
     std::cout << "org=" << r.orgName << " workload=" << r.workload

@@ -12,7 +12,7 @@
  * [(X + X/31) - LinesIn32MB], computing the division by 31 with a few
  * adders via residue arithmetic (31 = 32 - 1). Both the remap and the
  * adder-only division are implemented and cross-checked here; the
- * timing path in CameoController models the same row-occupancy effect
+ * timing path in CameoOrg models the same row-occupancy effect
  * by configuring the stacked module with 31 lines per row.
  */
 

@@ -8,6 +8,20 @@
 namespace cameo
 {
 
+const char *
+lltKindName(LltKind kind)
+{
+    switch (kind) {
+      case LltKind::Ideal:
+        return "Ideal-LLT";
+      case LltKind::Embedded:
+        return "Embedded-LLT";
+      case LltKind::CoLocated:
+        return "CoLocated-LLT";
+    }
+    return "Unknown";
+}
+
 LineLocationTable::LineLocationTable(std::uint64_t num_groups,
                                      std::uint32_t group_size)
     : numGroups_(num_groups), groupSize_(group_size)

@@ -11,8 +11,9 @@
  * size separately.
  *
  * The class is purely functional bookkeeping — where the entry is
- * *stored* (SRAM / embedded region of stacked DRAM / co-located LEAD)
- * and what latency its lookup costs is the CameoController's business.
+ * *stored* (SRAM / embedded region of stacked DRAM / co-located LEAD,
+ * the LltKind designs) and what latency its lookup costs is CameoOrg's
+ * business.
  */
 
 #ifndef CAMEO_CORE_LINE_LOCATION_TABLE_HH
@@ -26,6 +27,17 @@
 
 namespace cameo
 {
+
+/** Where the LLT lives, and so what a lookup costs (Figure 6). */
+enum class LltKind
+{
+    Ideal,     ///< Zero-latency, zero-storage oracle LLT.
+    Embedded,  ///< LLT in a reserved stacked region; serial lookup.
+    CoLocated, ///< LLT entry co-located with data (LEAD, Figure 7).
+};
+
+/** Printable name of an LLT design. */
+const char *lltKindName(LltKind kind);
 
 /** Per-group location bookkeeping for every line in the system. */
 class LineLocationTable

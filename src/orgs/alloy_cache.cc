@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "util/bitops.hh"
 
@@ -70,8 +71,8 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
 {
     assert(line < offchip_.capacityLines());
     const bool detailed = fidelity == Fidelity::Detailed;
-    const std::uint64_t set_idx = tags_.setIndexOf(line);
-    TadTagMapping::Entry &set = tags_.setFor(line);
+    const std::uint64_t set_idx = line % tags_.size();
+    TagEntry &set = tags_[set_idx];
     const bool hit = set.valid && set.tag == line;
 
     if (is_write) {
@@ -161,7 +162,12 @@ void
 AlloyCacheOrg::save(SnapshotWriter &w) const
 {
     MemoryOrganization::save(w);
-    tags_.save(w);
+    w.u64(tags_.size());
+    for (const TagEntry &s : tags_) {
+        w.u64(s.tag);
+        w.b(s.valid);
+        w.b(s.dirty);
+    }
     w.vecU8(map_);
 }
 
@@ -169,7 +175,20 @@ void
 AlloyCacheOrg::restore(SnapshotReader &r)
 {
     MemoryOrganization::restore(r);
-    tags_.restore(r);
+    const std::uint64_t sets = r.u64();
+    if (!r.ok())
+        return;
+    if (sets != tags_.size()) {
+        r.fail("cache org: set count mismatch: snapshot has " +
+               std::to_string(sets) + ", this cache has " +
+               std::to_string(tags_.size()));
+        return;
+    }
+    for (TagEntry &s : tags_) {
+        s.tag = r.u64();
+        s.valid = r.b();
+        s.dirty = r.b();
+    }
     if (!r.ok())
         return;
     std::vector<std::uint8_t> map;

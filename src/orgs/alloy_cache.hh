@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "orgs/memory_organization.hh"
-#include "orgs/policy/tad_tag_mapping.hh"
 
 namespace cameo
 {
@@ -62,10 +61,20 @@ class AlloyCacheOrg : public MemoryOrganization
     DramModule &offchipModule() override { return offchip_; }
     const DramModule &offchipModule() const override { return offchip_; }
 
-    std::uint64_t numSets() const { return tags_.numSets(); }
+    /** One direct-mapped set: the resident line's tag and state. */
+    struct TagEntry
+    {
+        LineAddr tag = 0;
+        bool valid = false;
+        bool dirty = false;
 
-    /** The tag-array mapping policy (composition introspection). */
-    const TadTagMapping &tagMapping() const { return tags_; }
+        friend bool operator==(const TagEntry &, const TagEntry &) = default;
+    };
+
+    std::uint64_t numSets() const { return tags_.size(); }
+
+    /** The TAD tag array, indexed by set (line % numSets()). */
+    const std::vector<TagEntry> &tags() const { return tags_; }
 
     /** Hit fraction among demand reads so far. */
     double hitRate() const;
@@ -89,8 +98,9 @@ class AlloyCacheOrg : public MemoryOrganization
     DramModule stacked_;
     DramModule offchip_;
 
-    /** Direct-mapped TAD tags (the extracted mapping policy). */
-    TadTagMapping tags_;
+    /** Direct-mapped TAD tags, one per set (co-located with the data
+     *  in the stacked row). */
+    std::vector<TagEntry> tags_;
 
     /** Per-core 3-bit saturating hit counters, 256 entries each. */
     static constexpr std::uint32_t kMapEntries = 256;

@@ -1,7 +1,7 @@
 /**
  * @file
- * ComposedOrg: a two-level organization assembled from one page-granular
- * MappingPolicy and one PagePlacementPolicy (DESIGN.md §14).
+ * ComposedOrg: a two-level organization assembled from one
+ * PageMappingPolicy and one PagePlacementPolicy (DESIGN.md §14).
  *
  * The driver owns the DRAM modules and the demand-routing path:
  * translate the OS-physical page through the mapping, service the line

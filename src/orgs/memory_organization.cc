@@ -5,7 +5,6 @@
 
 #include "orgs/alloy_cache.hh"
 #include "orgs/baseline.hh"
-#include "orgs/cameo_freq.hh"
 #include "orgs/cameo_org.hh"
 #include "orgs/composed_org.hh"
 #include "orgs/policy/epoch_freq_placement.hh"
@@ -375,7 +374,7 @@ makeOrganization(OrgKind kind, const OrgConfig &config)
       case OrgKind::Cameo:
         return std::make_unique<CameoOrg>(config);
       case OrgKind::CameoFreq:
-        return std::make_unique<CameoFreqOrg>(config);
+        return std::make_unique<CameoOrg>(config, /*freq_admission=*/true);
       case OrgKind::Banshee:
         return std::make_unique<ComposedOrg>(
             config, orgKindName(kind),

@@ -37,7 +37,6 @@
 
 #include "check/audit.hh"
 #include "snapshot/snapshot.hh"
-#include "core/cameo_controller.hh"
 #include "dram/dram_module.hh"
 #include "dram/queue_config.hh"
 #include "dram/timings.hh"
@@ -55,6 +54,8 @@
 namespace cameo
 {
 
+class CameoOrg;
+
 /** The designs compared throughout the paper's evaluation. */
 enum class OrgKind
 {
@@ -67,7 +68,7 @@ enum class OrgKind
     DoubleUse,  ///< Idealistic: cache AND extra capacity (Sec II-D).
     Cameo,      ///< The paper's proposal.
     CameoFreq,  ///< CAMEO + frequency-directed swap admission (the
-                ///< Section VI-D extension; see orgs/cameo_freq.hh).
+                ///< Section VI-D extension; see orgs/cameo_org.hh).
     Banshee,    ///< PTE-cached page mapping + sampling-counter
                 ///< frequency placement (Yu et al., MICRO 2017; see
                 ///< DESIGN.md §14).
@@ -88,10 +89,10 @@ const std::vector<OrgKind> &allOrgKinds();
 
 /**
  * The mapping x placement pair an organization kind composes
- * (DESIGN.md §14). For ComposedOrg-based kinds these are live
- * PolicyName strings; for the monolith-hosted kinds (Baseline, the
- * Alloy family, the CAMEO family) they name the policy the org's
- * fused hot path implements.
+ * (DESIGN.md §14). For ComposedOrg-based kinds these are the live
+ * policies' policyName() strings; for the single-class kinds
+ * (Baseline, the Alloy family, the CAMEO family) they name the
+ * mechanism the org's own access path implements.
  */
 struct OrgComposition
 {
@@ -242,8 +243,8 @@ class MemoryOrganization : public Checkpointable
     virtual void onPageMapped(std::uint32_t frame, std::uint32_t core,
                               PageAddr vpage);
 
-    /** CAMEO controller, if this organization is CAMEO. */
-    virtual const CameoController *cameo() const { return nullptr; }
+    /** This organization as CAMEO, if it is CAMEO or CAMEO-Freq. */
+    virtual const CameoOrg *cameo() const { return nullptr; }
 
     /**
      * Inject oracular page heat. Returns true when the organization's

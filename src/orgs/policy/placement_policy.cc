@@ -1,6 +1,6 @@
 /**
  * @file
- * PlacementPolicy base defaults and the stateless StaticPlacement.
+ * PagePlacementPolicy base defaults and the stateless StaticPlacement.
  */
 
 #include "orgs/policy/placement_policy.hh"
@@ -8,10 +8,10 @@
 namespace cameo
 {
 
-PlacementPolicy::~PlacementPolicy() = default;
+PagePlacementPolicy::~PagePlacementPolicy() = default;
 
 void
-PlacementPolicy::registerStats(StatRegistry &registry)
+PagePlacementPolicy::registerStats(StatRegistry &registry)
 {
     (void)registry;
 }

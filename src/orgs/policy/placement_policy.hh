@@ -1,6 +1,6 @@
 /**
  * @file
- * PlacementPolicy: the composable answer to "should this access
+ * PagePlacementPolicy: the composable answer to "should this access
  * trigger a migration/swap, and of what victim" (DESIGN.md §14).
  *
  * A page placement policy observes every routed access through
@@ -60,27 +60,25 @@ class PlacementContext
     ~PlacementContext() = default;
 };
 
-/** Base of every composable placement policy. */
-class PlacementPolicy : public Checkpointable
+/**
+ * Base of every composable placement policy: page-granular placement
+ * driven by the ComposedOrg access path.
+ */
+class PagePlacementPolicy : public Checkpointable
 {
   public:
-    ~PlacementPolicy() override;
+    ~PagePlacementPolicy() override;
 
-    PlacementPolicy() = default;
-    PlacementPolicy(const PlacementPolicy &) = delete;
-    PlacementPolicy &operator=(const PlacementPolicy &) = delete;
+    PagePlacementPolicy() = default;
+    PagePlacementPolicy(const PagePlacementPolicy &) = delete;
+    PagePlacementPolicy &operator=(const PagePlacementPolicy &) = delete;
 
     /** Stable policy name (the composition table in DESIGN.md §14). */
     virtual const char *policyName() const = 0;
 
     /** Register policy-owned statistics (default: none). */
     virtual void registerStats(StatRegistry &registry);
-};
 
-/** Page-granular placement driven by the ComposedOrg access path. */
-class PagePlacementPolicy : public PlacementPolicy
-{
-  public:
     /**
      * One demand access was routed to @p device_page. The policy may
      * update recency/frequency state and perform swaps through @p ctx.

@@ -14,8 +14,8 @@
 
 #include <cstdint>
 
-#include "core/cameo_controller.hh"
 #include "core/line_location_predictor.hh"
+#include "core/line_location_table.hh"
 
 namespace cameo
 {

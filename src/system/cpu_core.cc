@@ -8,7 +8,7 @@ namespace cameo
 
 CpuCore::CpuCore(std::uint32_t id, std::unique_ptr<AccessSource> source,
                  std::uint64_t num_accesses, double cpi, std::uint32_t mlp,
-                 Tick l3_hit_stall, VirtualMemory &vm, Llc &llc,
+                 Tick l3_hit_stall, VirtualMemory &vm, SetAssocCache &llc,
                  MemoryOrganization &org)
     : id_(id), source_(std::move(source)), numAccesses_(num_accesses),
       cpi_(cpi), mlp_(std::max(1u, mlp)), l3HitStall_(l3_hit_stall),

@@ -42,10 +42,10 @@
 #include <optional>
 #include <vector>
 
+#include "cache/set_assoc_cache.hh"
 #include "orgs/memory_organization.hh"
 #include "sim/kernel.hh"
 #include "sim/mem_request.hh"
-#include "system/llc.hh"
 #include "trace/access_source.hh"
 #include "trace/generator.hh"
 #include "vm/virtual_memory.hh"
@@ -71,7 +71,7 @@ class CpuCore : public Agent, public MemClient
      */
     CpuCore(std::uint32_t id, std::unique_ptr<AccessSource> source,
             std::uint64_t num_accesses, double cpi, std::uint32_t mlp,
-            Tick l3_hit_stall, VirtualMemory &vm, Llc &llc,
+            Tick l3_hit_stall, VirtualMemory &vm, SetAssocCache &llc,
             MemoryOrganization &org);
 
     Tick nextReadyTick() const override { return clock_; }
@@ -197,7 +197,7 @@ class CpuCore : public Agent, public MemClient
     Tick l3HitStall_;
 
     VirtualMemory &vm_;
-    Llc &llc_;
+    SetAssocCache &llc_;
     MemoryOrganization &org_;
 
     Tick clock_ = 0;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "orgs/cameo_org.hh"
 #include "sim/kernel.hh"
 #include "trace/trace_arena.hh"
 #include "util/bitops.hh"
@@ -31,7 +32,9 @@ System::System(const SystemConfig &config, OrgKind kind,
 System::System(const SystemConfig &config, OrgKind kind,
                const std::vector<WorkloadProfile> &profiles)
     : config_(config), kind_(kind), profiles_(profiles),
-      org_(makeOrganization(kind, config.orgConfig()))
+      org_(makeOrganization(kind, config.orgConfig())),
+      llc_("l3", config.l3Bytes, config.l3Ways, config.l3HitLatency,
+           ReplPolicy::Lru, config.seed ^ 0x13)
 {
     assert(org_ != nullptr);
     assert(!profiles_.empty());
@@ -100,8 +103,6 @@ System::System(const SystemConfig &config, OrgKind kind,
         org_->onPageMapped(frame, core, vpage);
     });
 
-    llc_ = std::make_unique<Llc>(config_);
-
     // Under a warming policy the source cursor starts at record 0 (the
     // warmup phase consumes the prefix). A Detailed-policy core is
     // born with the *warmup* as its trace — the warmup kernel run
@@ -123,12 +124,12 @@ System::System(const SystemConfig &config, OrgKind kind,
         cores_.push_back(std::make_unique<CpuCore>(
             c, make_source(c, skip_warmup), initial_accesses,
             config_.cyclesPerInstruction, mlp, config_.l3HitStall, *vm_,
-            *llc_, *org_));
+            llc_, *org_));
     }
 
     org_->registerStats(registry_);
     vm_->registerStats(registry_);
-    llc_->registerStats(registry_);
+    llc_.registerStats(registry_);
     if (!skip_warmup)
         registry_.add(warmupAccesses_);
 
@@ -229,7 +230,7 @@ System::functionalAccess(std::uint32_t core, const Access &acc)
         std::uint64_t{tr.frame} * kLinesPerPage +
         (lineOf(acc.vaddr) & (kLinesPerPage - 1));
 
-    const CacheAccessResult res = llc_->access(phys_line, acc.isWrite);
+    const CacheAccessResult res = llc_.access(phys_line, acc.isWrite);
     if (res.hit)
         return;
     if (res.hasWriteback) {
@@ -348,8 +349,8 @@ System::run()
     }
     r.warmupAccesses = warmupAccesses_.value();
 
-    r.l3Hits = llc_->hits();
-    r.l3Misses = llc_->misses();
+    r.l3Hits = llc_.hits().value();
+    r.l3Misses = llc_.misses().value();
 
     if (const DramModule *stacked = org_->stackedModule())
         r.stackedBytes = stacked->bytesTransferred();
@@ -358,15 +359,15 @@ System::run()
     r.majorFaults = vm_->majorFaults().value();
     r.minorFaults = vm_->minorFaults().value();
 
-    if (const CameoController *ctrl = org_->cameo()) {
-        r.servicedStacked = ctrl->servicedStacked().value();
-        r.servicedOffchip = ctrl->servicedOffchip().value();
-        r.swaps = ctrl->swaps().value();
+    if (const CameoOrg *cameo = org_->cameo()) {
+        r.servicedStacked = cameo->servicedStacked().value();
+        r.servicedOffchip = cameo->servicedOffchip().value();
+        r.swaps = cameo->swaps().value();
         for (int c = 0; c < 5; ++c) {
-            r.llpCases[c] = ctrl->predictor().caseCount(
+            r.llpCases[c] = cameo->predictor().caseCount(
                 static_cast<PredictionCase>(c));
         }
-        r.llpAccuracy = ctrl->predictor().accuracy();
+        r.llpAccuracy = cameo->predictor().accuracy();
     }
 
     if (const Counter *migrations =
@@ -408,7 +409,7 @@ System::save(SnapshotWriter &w) const
     w.endSection();
 
     w.beginSection("llc");
-    llc_->save(w);
+    llc_.save(w);
     w.endSection();
 
     for (std::size_t c = 0; c < cores_.size(); ++c) {
@@ -541,7 +542,7 @@ System::restore(SnapshotReader &r)
 
     if (!r.enterSection("llc"))
         return;
-    llc_->restore(r);
+    llc_.restore(r);
     if (!r.leaveSection())
         return;
 

@@ -12,13 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "cache/set_assoc_cache.hh"
 #include "orgs/memory_organization.hh"
 #include "sim/kernel.hh"
 #include "snapshot/snapshot.hh"
 #include "stats/registry.hh"
 #include "system/config.hh"
 #include "system/cpu_core.hh"
-#include "system/llc.hh"
 #include "trace/workloads.hh"
 #include "vm/virtual_memory.hh"
 
@@ -178,7 +178,7 @@ class System
 
     MemoryOrganization &org() { return *org_; }
     VirtualMemory &vm() { return *vm_; }
-    Llc &llc() { return *llc_; }
+    SetAssocCache &llc() { return llc_; }
     StatRegistry &stats() { return registry_; }
 
   private:
@@ -243,7 +243,7 @@ class System
 
     std::unique_ptr<MemoryOrganization> org_;
     std::unique_ptr<VirtualMemory> vm_;
-    std::unique_ptr<Llc> llc_;
+    SetAssocCache llc_; ///< The shared L3.
     std::vector<std::unique_ptr<CpuCore>> cores_;
     StatRegistry registry_;
 

@@ -51,7 +51,8 @@ CliParser::getString(const std::string &name, const std::string &def) const
 }
 
 std::uint64_t
-CliParser::getUint(const std::string &name, std::uint64_t def) const
+CliParser::getUint(const std::string &name, std::uint64_t def,
+                   std::uint64_t max) const
 {
     queried_.push_back(name);
     const auto it = flags_.find(name);
@@ -65,7 +66,11 @@ CliParser::getUint(const std::string &name, std::uint64_t def) const
     std::uint64_t v = 0;
     switch (parseUintStrict(text, v)) {
       case ParseUintStatus::Ok:
-        return v;
+        if (v <= max)
+            return v;
+        errors_.push_back("--" + name + ": value out of range: '" + text +
+                          "' (max " + std::to_string(max) + ")");
+        return def;
       case ParseUintStatus::Invalid:
         errors_.push_back("--" + name + ": expected an integer, got '" +
                           text + "'");

@@ -34,10 +34,11 @@ class CliParser
                           const std::string &def = "") const;
 
     /** Unsigned integer flag; @p def when absent. The whole value must
-     *  be decimal digits: partial parses ("8x"), signs, and
-     *  out-of-range values record an error and return @p def. */
-    std::uint64_t getUint(const std::string &name,
-                          std::uint64_t def = 0) const;
+     *  be decimal digits: partial parses ("8x"), signs, and values
+     *  above @p max (so a caller narrowing to a smaller type never
+     *  wraps) record an error and return @p def. */
+    std::uint64_t getUint(const std::string &name, std::uint64_t def = 0,
+                          std::uint64_t max = UINT64_MAX) const;
 
     /** Double flag; @p def when absent. The whole value must parse to
      *  a finite double; anything else records an error and returns

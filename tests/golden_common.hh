@@ -44,6 +44,8 @@ inline const std::vector<std::pair<std::string, OrgKind>> kGoldenOrgs{
     {"Baseline", OrgKind::Baseline},
     {"Cache", OrgKind::AlloyCache},
     {"CAMEO", OrgKind::Cameo},
+    {"CAMEO-Freq", OrgKind::CameoFreq},
+    {"DoubleUse", OrgKind::DoubleUse},
 };
 
 /** Format a double so it round-trips exactly through the JSON. */

@@ -1,9 +1,10 @@
 /**
  * @file
  * Shared machinery of the snapshot differential suites: the full
- * organization matrix, byte-exact stats fingerprinting, and the
+ * organization matrix, byte-exact stats fingerprinting, the
  * checkpoint/resume drivers that test_snapshot.cc builds its
- * equivalence assertions from.
+ * equivalence assertions from, and the single-component round-trip
+ * helpers the policy and organization suites use.
  *
  * The core property pinned here: a run that is paused at an arbitrary
  * access count, snapshotted, restored into a FRESH System, and run to
@@ -43,6 +44,46 @@ inline const std::vector<std::pair<std::string, OrgKind>> kAllOrgs{
     {"CameoFreq", OrgKind::CameoFreq},
     {"Banshee", OrgKind::Banshee},
 };
+
+/** Serialize one Checkpointable into a framed snapshot blob. */
+inline std::vector<std::uint8_t>
+saveBytes(const Checkpointable &c)
+{
+    SnapshotWriter w;
+    w.beginSection("component");
+    c.save(w);
+    w.endSection();
+    return w.finish();
+}
+
+/**
+ * Restore @p c from @p bytes; returns the reader's final state, and
+ * (when @p error is non-null) its error message.
+ */
+inline bool
+restoreFromBytes(Checkpointable &c, std::vector<std::uint8_t> bytes,
+                 std::string *error = nullptr)
+{
+    SnapshotReader r;
+    if (r.open(std::move(bytes))) {
+        r.enterSection("component");
+        c.restore(r);
+        r.leaveSection();
+    }
+    if (error != nullptr)
+        *error = r.error();
+    return r.ok();
+}
+
+/** save -> restore into @p fresh -> save must be byte-identical. */
+template <typename T>
+void
+expectRoundTripIdentical(const T &original, T &fresh)
+{
+    const std::vector<std::uint8_t> first = saveBytes(original);
+    ASSERT_TRUE(restoreFromBytes(fresh, first));
+    EXPECT_EQ(first, saveBytes(fresh));
+}
 
 /** Short traces keep the 10-org x 2-timing matrix fast. */
 inline SystemConfig

@@ -1,16 +1,14 @@
 /**
  * @file
- * Unit tests for the CameoController: swap mechanics, the latency
- * ordering of the LLT designs (Figure 8's analysis), prediction
- * plumbing, and writeback handling.
+ * Unit tests for the CAMEO controller mechanism (CameoOrg): swap
+ * mechanics, the latency ordering of the LLT designs (Figure 8's
+ * analysis), prediction plumbing, and writeback handling.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/cameo_controller.hh"
 #include "dram/dram_module.hh"
+#include "orgs/cameo_org.hh"
 #include "util/rng.hh"
 
 namespace cameo
@@ -24,72 +22,69 @@ class ControllerFixture
   public:
     explicit ControllerFixture(LltKind llt,
                                PredictorKind pred = PredictorKind::Sam)
+        : org(configFor(llt, pred)), stacked(*org.stackedModule()),
+          offchip(org.offchipModule())
     {
-        DramTimings st = stackedTimings();
-        std::uint64_t stacked_bytes = 1 << 20;
-        if (llt == LltKind::CoLocated)
-            st.linesPerRow = LeadLayout::kLeadsPerRow;
-        std::uint64_t module_bytes = stacked_bytes;
-        if (llt == LltKind::Embedded) {
-            module_bytes += CameoController::lltReserveLines(
-                                stacked_bytes / 64, 4) *
-                            64;
-        }
-        stacked = std::make_unique<DramModule>("t.stk", st, module_bytes);
-        offchip = std::make_unique<DramModule>("t.off", offchipTimings(),
-                                               3 << 20);
-        ctrl = std::make_unique<CameoController>(
-            CameoParams{llt, pred, 2}, *stacked, *offchip,
-            stacked_bytes / 64, (4ull << 20) / 64);
     }
 
-    std::unique_ptr<DramModule> stacked;
-    std::unique_ptr<DramModule> offchip;
-    std::unique_ptr<CameoController> ctrl;
+    static OrgConfig configFor(LltKind llt, PredictorKind pred)
+    {
+        OrgConfig c;
+        c.stackedBytes = 1 << 20;
+        c.offchipBytes = 3 << 20;
+        c.numCores = 2;
+        c.llt.kind = llt;
+        c.llt.predictor = pred;
+        return c;
+    }
+
+    CameoOrg org;
+    const DramModule &stacked;
+    const DramModule &offchip;
 };
 
 TEST(CameoControllerTest, StackedResidentLineServedFromStacked)
 {
     ControllerFixture f(LltKind::Ideal);
     // Slot 0 lines start in stacked memory.
-    f.ctrl->access(0, 42, false, 0x400, 0, Fidelity::Detailed);
-    EXPECT_EQ(f.ctrl->servicedStacked().value(), 1u);
-    EXPECT_EQ(f.ctrl->servicedOffchip().value(), 0u);
-    EXPECT_EQ(f.ctrl->swaps().value(), 0u);
+    f.org.access(0, 42, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(f.org.servicedStacked().value(), 1u);
+    EXPECT_EQ(f.org.servicedOffchip().value(), 0u);
+    EXPECT_EQ(f.org.swaps().value(), 0u);
 }
 
 TEST(CameoControllerTest, OffchipAccessSwapsLineIn)
 {
     ControllerFixture f(LltKind::Ideal);
-    const std::uint64_t groups = f.ctrl->groups().numGroups();
+    const std::uint64_t groups = f.org.groups().numGroups();
     const LineAddr line = groups + 42; // slot 1 of group 42: off-chip
-    f.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
-    EXPECT_EQ(f.ctrl->servicedOffchip().value(), 1u);
-    EXPECT_EQ(f.ctrl->swaps().value(), 1u);
+    f.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(f.org.servicedOffchip().value(), 1u);
+    EXPECT_EQ(f.org.swaps().value(), 1u);
     // The line is now stacked-resident: second access hits stacked.
-    f.ctrl->access(10000, line, false, 0x400, 0, Fidelity::Detailed);
-    EXPECT_EQ(f.ctrl->servicedStacked().value(), 1u);
+    f.org.access(10000, line, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(f.org.servicedStacked().value(), 1u);
     // And the displaced slot-0 line is now off-chip.
-    f.ctrl->access(20000, 42, false, 0x400, 0, Fidelity::Detailed);
-    EXPECT_EQ(f.ctrl->servicedOffchip().value(), 2u);
+    f.org.access(20000, 42, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(f.org.servicedOffchip().value(), 2u);
 }
 
 TEST(CameoControllerTest, SwapIsExclusiveWithinGroup)
 {
     ControllerFixture f(LltKind::Ideal);
-    const std::uint64_t groups = f.ctrl->groups().numGroups();
+    const std::uint64_t groups = f.org.groups().numGroups();
     // Touch all four members of group 7 in turn; the LLT entry must
     // remain a permutation and exactly one member must be stacked.
     for (std::uint32_t slot = 0; slot < 4; ++slot)
-        f.ctrl->access(slot * 10000, slot * groups + 7, false, 0x400, 0,
+        f.org.access(slot * 10000, slot * groups + 7, false, 0x400, 0,
                        Fidelity::Detailed);
-    EXPECT_TRUE(f.ctrl->llt().verifyGroup(7));
+    EXPECT_TRUE(f.org.llt().verifyGroup(7));
     int in_stacked = 0;
     for (std::uint32_t slot = 0; slot < 4; ++slot)
-        in_stacked += (f.ctrl->llt().locationOf(7, slot) == 0);
+        in_stacked += (f.org.llt().locationOf(7, slot) == 0);
     EXPECT_EQ(in_stacked, 1);
     // The most recently accessed member (slot 3) holds the slot.
-    EXPECT_EQ(f.ctrl->llt().locationOf(7, 3), 0u);
+    EXPECT_EQ(f.org.llt().locationOf(7, 3), 0u);
 }
 
 TEST(CameoControllerTest, EmbeddedSlowerThanCoLocatedOnStackedHit)
@@ -99,12 +94,12 @@ TEST(CameoControllerTest, EmbeddedSlowerThanCoLocatedOnStackedHit)
     ControllerFixture emb(LltKind::Embedded);
     ControllerFixture col(LltKind::CoLocated);
     const Tick t_emb =
-        emb.ctrl->access(0, 42, false, 0x400, 0, Fidelity::Detailed);
+        emb.org.access(0, 42, false, 0x400, 0, Fidelity::Detailed);
     const Tick t_col =
-        col.ctrl->access(0, 42, false, 0x400, 0, Fidelity::Detailed);
+        col.org.access(0, 42, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_GT(t_emb, t_col);
-    EXPECT_EQ(emb.stacked->reads().value(), 2u); // LLT + data
-    EXPECT_EQ(col.stacked->reads().value(), 1u); // one LEAD
+    EXPECT_EQ(emb.stacked.reads().value(), 2u); // LLT + data
+    EXPECT_EQ(col.stacked.reads().value(), 1u); // one LEAD
 }
 
 TEST(CameoControllerTest, IdealFastestOnMiss)
@@ -113,14 +108,14 @@ TEST(CameoControllerTest, IdealFastestOnMiss)
     ControllerFixture ideal(LltKind::Ideal);
     ControllerFixture emb(LltKind::Embedded);
     ControllerFixture col(LltKind::CoLocated);
-    const std::uint64_t groups = ideal.ctrl->groups().numGroups();
+    const std::uint64_t groups = ideal.org.groups().numGroups();
     const LineAddr line = groups + 7;
     const Tick t_ideal =
-        ideal.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+        ideal.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
     const Tick t_emb =
-        emb.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+        emb.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
     const Tick t_col =
-        col.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+        col.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_LT(t_ideal, t_emb);
     EXPECT_LT(t_ideal, t_col);
 }
@@ -131,54 +126,54 @@ TEST(CameoControllerTest, CorrectPredictionParallelizesOffchipFetch)
     // (serialized) one.
     ControllerFixture sam(LltKind::CoLocated, PredictorKind::Sam);
     ControllerFixture perfect(LltKind::CoLocated, PredictorKind::Perfect);
-    const std::uint64_t groups = sam.ctrl->groups().numGroups();
+    const std::uint64_t groups = sam.org.groups().numGroups();
     const LineAddr line = groups + 3;
     const Tick t_sam =
-        sam.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+        sam.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
     const Tick t_perfect =
-        perfect.ctrl->access(0, line, false, 0x400, 0, Fidelity::Detailed);
+        perfect.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
     EXPECT_LT(t_perfect, t_sam);
     // Neither wasted a fetch.
-    EXPECT_EQ(sam.ctrl->wastedFetches().value(), 0u);
-    EXPECT_EQ(perfect.ctrl->wastedFetches().value(), 0u);
+    EXPECT_EQ(sam.org.wastedFetches().value(), 0u);
+    EXPECT_EQ(perfect.org.wastedFetches().value(), 0u);
 }
 
 TEST(CameoControllerTest, WrongPredictionWastesBandwidth)
 {
     ControllerFixture f(LltKind::CoLocated, PredictorKind::Llp);
-    const std::uint64_t groups = f.ctrl->groups().numGroups();
+    const std::uint64_t groups = f.org.groups().numGroups();
     const InstAddr pc = 0x400;
     // Train the PC to location 1 via group 9, then access a line of a
     // different group whose location is 2: predicted 1, actual 2.
-    f.ctrl->access(0, groups * 1 + 9, false, pc, 0,
+    f.org.access(0, groups * 1 + 9, false, pc, 0,
                    Fidelity::Detailed); // loc 1 trains
-    const std::uint64_t off_reads = f.offchip->reads().value();
-    f.ctrl->access(50000, groups * 2 + 10, false, pc, 0, Fidelity::Detailed);
-    EXPECT_EQ(f.ctrl->wastedFetches().value(), 1u);
+    const std::uint64_t off_reads = f.offchip.reads().value();
+    f.org.access(50000, groups * 2 + 10, false, pc, 0, Fidelity::Detailed);
+    EXPECT_EQ(f.org.wastedFetches().value(), 1u);
     // Two off-chip reads: the wasted one and the correct one.
-    EXPECT_EQ(f.offchip->reads().value(), off_reads + 2);
+    EXPECT_EQ(f.offchip.reads().value(), off_reads + 2);
 }
 
 TEST(CameoControllerTest, WritebackUpdatesInPlaceWithoutSwap)
 {
     ControllerFixture f(LltKind::CoLocated);
-    const std::uint64_t groups = f.ctrl->groups().numGroups();
+    const std::uint64_t groups = f.org.groups().numGroups();
     const LineAddr offchip_line = groups + 5;
-    f.ctrl->access(0, offchip_line, true, 0x400, 0,
+    f.org.access(0, offchip_line, true, 0x400, 0,
                    Fidelity::Detailed); // writeback
-    EXPECT_EQ(f.ctrl->swaps().value(), 0u);
-    EXPECT_EQ(f.ctrl->llt().locationOf(5, 1), 1u); // still off-chip
-    EXPECT_GT(f.offchip->writes().value(), 0u);
+    EXPECT_EQ(f.org.swaps().value(), 0u);
+    EXPECT_EQ(f.org.llt().locationOf(5, 1), 1u); // still off-chip
+    EXPECT_GT(f.offchip.writes().value(), 0u);
 }
 
 TEST(CameoControllerTest, WritebackToStackedResidentLine)
 {
     ControllerFixture f(LltKind::CoLocated);
-    f.ctrl->access(0, 5, true, 0x400, 0,
+    f.org.access(0, 5, true, 0x400, 0,
                    Fidelity::Detailed); // slot 0: stacked
-    EXPECT_EQ(f.ctrl->swaps().value(), 0u);
-    EXPECT_GT(f.stacked->writes().value(), 0u);
-    EXPECT_EQ(f.offchip->writes().value(), 0u);
+    EXPECT_EQ(f.org.swaps().value(), 0u);
+    EXPECT_GT(f.stacked.writes().value(), 0u);
+    EXPECT_EQ(f.offchip.writes().value(), 0u);
 }
 
 TEST(CameoControllerTest, SwapTrafficBilled)
@@ -186,14 +181,14 @@ TEST(CameoControllerTest, SwapTrafficBilled)
     // One off-chip miss (co-located): LEAD read, off-chip demand read,
     // off-chip victim write, LEAD fill write.
     ControllerFixture f(LltKind::CoLocated);
-    const std::uint64_t groups = f.ctrl->groups().numGroups();
-    f.ctrl->access(0, groups + 1, false, 0x400, 0, Fidelity::Detailed);
-    EXPECT_EQ(f.stacked->reads().value(), 1u);
-    EXPECT_EQ(f.stacked->writes().value(), 1u);
-    EXPECT_EQ(f.offchip->reads().value(), 1u);
-    EXPECT_EQ(f.offchip->writes().value(), 1u);
+    const std::uint64_t groups = f.org.groups().numGroups();
+    f.org.access(0, groups + 1, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(f.stacked.reads().value(), 1u);
+    EXPECT_EQ(f.stacked.writes().value(), 1u);
+    EXPECT_EQ(f.offchip.reads().value(), 1u);
+    EXPECT_EQ(f.offchip.writes().value(), 1u);
     // LEAD bursts move 80 bytes.
-    EXPECT_EQ(f.stacked->readBytes().value(),
+    EXPECT_EQ(f.stacked.readBytes().value(),
               LeadLayout::kLeadBurstBytes);
 }
 
@@ -205,21 +200,21 @@ TEST(CameoControllerTest, MispredictionsEitherBilledOrSquashed)
     // prediction is accounted exactly once.
     ControllerFixture f(LltKind::CoLocated, PredictorKind::Llp);
     Rng rng(77);
-    const std::uint64_t total = f.ctrl->groups().totalLines();
+    const std::uint64_t total = f.org.groups().totalLines();
     Tick now = 0;
     for (int i = 0; i < 30000; ++i) {
-        f.ctrl->access(now, rng.next(total), false,
+        f.org.access(now, rng.next(total), false,
                        0x400000 + 4 * rng.next(16),
                        static_cast<std::uint32_t>(rng.next(2)),
                        Fidelity::Detailed);
         now += 10; // aggressive rate: some fetches must squash
     }
-    const auto &pred = f.ctrl->predictor();
+    const auto &pred = f.org.predictor();
     const std::uint64_t mispredicted_offchip =
         pred.caseCount(PredictionCase::StackedPredOffchip) +
         pred.caseCount(PredictionCase::OffchipPredWrong);
-    EXPECT_EQ(f.ctrl->wastedFetches().value() +
-                  f.ctrl->squashedFetches().value(),
+    EXPECT_EQ(f.org.wastedFetches().value() +
+                  f.org.squashedFetches().value(),
               mispredicted_offchip);
     EXPECT_GT(mispredicted_offchip, 0u);
 }
@@ -229,56 +224,56 @@ TEST(CameoControllerTest, IdleMispredictionIsBilled)
     // With a completely idle off-chip memory, a wrong speculative
     // fetch cannot be squashed (it would have issued immediately).
     ControllerFixture f(LltKind::CoLocated, PredictorKind::Llp);
-    const std::uint64_t groups = f.ctrl->groups().numGroups();
+    const std::uint64_t groups = f.org.groups().numGroups();
     const InstAddr pc = 0x400;
-    f.ctrl->access(0, groups * 1 + 9, false, pc, 0,
+    f.org.access(0, groups * 1 + 9, false, pc, 0,
                    Fidelity::Detailed); // train loc 1
-    f.ctrl->access(1'000'000, groups * 2 + 10, false, pc, 0,
+    f.org.access(1'000'000, groups * 2 + 10, false, pc, 0,
                    Fidelity::Detailed); // idle
-    EXPECT_EQ(f.ctrl->wastedFetches().value(), 1u);
-    EXPECT_EQ(f.ctrl->squashedFetches().value(), 0u);
+    EXPECT_EQ(f.org.wastedFetches().value(), 1u);
+    EXPECT_EQ(f.org.squashedFetches().value(), 0u);
 }
 
 TEST(CameoControllerTest, EmbeddedLltReserveSizing)
 {
     // 4 lines per group, 2-bit entries: 1 byte per group, 64 groups
     // per reserved line.
-    EXPECT_EQ(CameoController::lltReserveLines(64, 4), 1u);
-    EXPECT_EQ(CameoController::lltReserveLines(65, 4), 2u);
-    EXPECT_EQ(CameoController::lltReserveLines(1 << 20, 4),
+    EXPECT_EQ(CameoOrg::lltReserveLines(64, 4), 1u);
+    EXPECT_EQ(CameoOrg::lltReserveLines(65, 4), 2u);
+    EXPECT_EQ(CameoOrg::lltReserveLines(1 << 20, 4),
               (1u << 20) / 64);
 }
 
 TEST(CameoControllerTest, EmbeddedLltLookupsCounted)
 {
     ControllerFixture f(LltKind::Embedded);
-    f.ctrl->access(0, 3, false, 0x400, 0, Fidelity::Detailed);
-    f.ctrl->access(1000, 4, false, 0x400, 0, Fidelity::Detailed);
-    EXPECT_EQ(f.ctrl->llt().numGroups(),
-              f.ctrl->groups().numGroups());
+    f.org.access(0, 3, false, 0x400, 0, Fidelity::Detailed);
+    f.org.access(1000, 4, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(f.org.llt().numGroups(),
+              f.org.groups().numGroups());
     // Each demand access consulted the embedded table once.
-    EXPECT_EQ(f.stacked->reads().value(), 4u); // 2 LLT + 2 data
+    EXPECT_EQ(f.stacked.reads().value(), 4u); // 2 LLT + 2 data
 }
 
 TEST(CameoControllerTest, ManyRandomAccessesKeepInvariants)
 {
     ControllerFixture f(LltKind::CoLocated, PredictorKind::Llp);
     Rng rng(31);
-    const std::uint64_t total = f.ctrl->groups().totalLines();
+    const std::uint64_t total = f.org.groups().totalLines();
     Tick now = 0;
     for (int i = 0; i < 20000; ++i) {
         const LineAddr line = rng.next(total);
-        f.ctrl->access(now, line, rng.chance(0.3), 0x400000 + 4 * rng.next(64),
+        f.org.access(now, line, rng.chance(0.3), 0x400000 + 4 * rng.next(64),
                        static_cast<std::uint32_t>(rng.next(2)),
                        Fidelity::Detailed);
         now += 30;
     }
     // Spot-check permutations.
     for (std::uint64_t g = 0; g < 64; ++g)
-        EXPECT_TRUE(f.ctrl->llt().verifyGroup(g));
+        EXPECT_TRUE(f.org.llt().verifyGroup(g));
     // Reads+writes conserved: every off-chip-serviced demand read
     // produced exactly one swap.
-    EXPECT_GT(f.ctrl->swaps().value(), 0u);
+    EXPECT_GT(f.org.swaps().value(), 0u);
 }
 
 } // namespace

@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "orgs/cameo_freq.hh"
+#include "orgs/cameo_org.hh"
+#include "snapshot_common.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
 #include "util/rng.hh"
@@ -30,32 +31,31 @@ smallConfig()
 
 TEST(CameoFreqTest, ColdPageServicedInPlace)
 {
-    CameoFreqOrg org(smallConfig());
-    const std::uint64_t groups =
-        org.cameo()->groups().numGroups();
+    CameoOrg org(smallConfig(), /*freq_admission=*/true);
+    const std::uint64_t groups = org.groups().numGroups();
     // One touch of an off-chip line: page not yet hot -> no swap.
     org.access(0, groups + 7, false, 0x400, 0, Fidelity::Detailed);
-    EXPECT_EQ(org.cameo()->swaps().value(), 0u);
-    EXPECT_EQ(org.cameo()->swapsFiltered().value(), 1u);
+    EXPECT_EQ(org.swaps().value(), 0u);
+    EXPECT_EQ(org.swapsFiltered().value(), 1u);
     // The line is still off-chip.
-    EXPECT_EQ(org.cameo()->llt().locationOf(7, 1), 1u);
+    EXPECT_EQ(org.llt().locationOf(7, 1), 1u);
 }
 
 TEST(CameoFreqTest, HotPageAdmitsSwaps)
 {
-    CameoFreqOrg org(smallConfig());
-    const std::uint64_t groups = org.cameo()->groups().numGroups();
+    CameoOrg org(smallConfig(), /*freq_admission=*/true);
+    const std::uint64_t groups = org.groups().numGroups();
     // Touch lines of the same OS page repeatedly until it crosses the
     // hot threshold; page of line (groups + g) for small g is page 0
     // of the second quarter... use distinct lines of one page:
     // lines [groups + 0, groups + 63] share OS page groups/64.
     Tick now = 0;
-    for (std::uint32_t i = 0; i < CameoFreqOrg::kHotThreshold + 4; ++i) {
+    for (std::uint32_t i = 0; i < CameoOrg::kHotThreshold + 4; ++i) {
         org.access(now, groups + (i % kLinesPerPage), false, 0x400, 0,
                    Fidelity::Detailed);
         now += 1000;
     }
-    EXPECT_GT(org.cameo()->swaps().value(), 0u);
+    EXPECT_GT(org.swaps().value(), 0u);
     EXPECT_GT(org.hotPages().value(), 0u);
 }
 
@@ -66,12 +66,12 @@ TEST(CameoFreqTest, FilterSavesVictimWriteBandwidth)
     // filter admits none of them.
     const OrgConfig config = smallConfig();
     CameoOrg stock(config);
-    CameoFreqOrg filtered(config);
-    const std::uint64_t groups = stock.cameo()->groups().numGroups();
+    CameoOrg filtered(config, /*freq_admission=*/true);
+    const std::uint64_t groups = stock.groups().numGroups();
     const std::uint64_t offchip_pages = 2 * groups / kLinesPerPage;
     Tick now = 0;
     for (std::uint64_t p = 0; p < offchip_pages; ++p) {
-        for (std::uint32_t t = 0; t + 1 < CameoFreqOrg::kHotThreshold;
+        for (std::uint32_t t = 0; t + 1 < CameoOrg::kHotThreshold;
              ++t) {
             const LineAddr line = groups + p * kLinesPerPage + t;
             stock.access(now, line, false, 0x400, 0, Fidelity::Detailed);
@@ -79,10 +79,37 @@ TEST(CameoFreqTest, FilterSavesVictimWriteBandwidth)
             now += 40;
         }
     }
-    EXPECT_GT(stock.cameo()->swaps().value(), 0u);
-    EXPECT_EQ(filtered.cameo()->swaps().value(), 0u);
+    EXPECT_GT(stock.swaps().value(), 0u);
+    EXPECT_EQ(filtered.swaps().value(), 0u);
     EXPECT_LT(filtered.offchipModule().writeBytes().value(),
               stock.offchipModule().writeBytes().value() / 2);
+}
+
+TEST(CameoFreqTest, AdmitsOnlyProvenHotPagesAndRoundTrips)
+{
+    CameoOrg org(smallConfig(), /*freq_admission=*/true);
+    const std::uint64_t groups = org.groups().numGroups();
+    const LineAddr line = groups + 5; // slot 1 of group 5: off-chip
+    org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(org.swapsFiltered().value(), 1u); // cold page: no swap
+    // Writebacks count toward the page's heat but never swap.
+    Tick now = 1000;
+    for (std::uint32_t i = 1; i < CameoOrg::kHotThreshold; ++i, now += 1000)
+        org.access(now, line, true, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(org.swaps().value(), 0u);
+    org.access(now, line, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(org.swaps().value(), 1u);
+    EXPECT_EQ(org.hotPages().value(), 1u);
+
+    // The page counters and epoch progress follow the LLT and LLP in
+    // the checkpoint; a fresh CAMEO-Freq restores them exactly.
+    CameoOrg fresh(smallConfig(), /*freq_admission=*/true);
+    snaptest::expectRoundTripIdentical(org, fresh);
+    // Stock CAMEO's layout ends at the LLP, so the extra bytes of a
+    // CAMEO-Freq snapshot are rejected.
+    CameoOrg stock(smallConfig());
+    EXPECT_FALSE(
+        snaptest::restoreFromBytes(stock, snaptest::saveBytes(org)));
 }
 
 TEST(CameoFreqTest, FactoryAndSystemIntegration)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the invariant-audit subsystem (src/check): the AuditSink,
  * the four concrete auditors, the kernel step-limit reporting, and a
- * property test that drives a CameoController with random traces under
+ * property test that drives a CameoOrg with random traces under
  * every LLT design and asserts the LLT permutation invariant end to
  * end.
  *
@@ -22,9 +22,9 @@
 #include "check/kernel_auditor.hh"
 #include "check/llt_auditor.hh"
 #include "check/stat_auditor.hh"
-#include "core/cameo_controller.hh"
 #include "core/line_location_table.hh"
 #include "dram/dram_module.hh"
+#include "orgs/cameo_org.hh"
 #include "sim/kernel.hh"
 #include "stats/counter.hh"
 #include "system/system.hh"
@@ -354,34 +354,18 @@ TEST_F(StepLimitTest, KernelHotPathAuditCatchesRegressingAgent)
     AuditSink::global().reset();
 }
 
-/** Small CAMEO stack for the property test (mirrors the unit fixture). */
-class PropertyFixture
+/** Small CAMEO organization for the property test. */
+OrgConfig
+propertyConfig(LltKind llt)
 {
-  public:
-    explicit PropertyFixture(LltKind llt)
-    {
-        DramTimings st = stackedTimings();
-        const std::uint64_t stacked_bytes = 1 << 20;
-        if (llt == LltKind::CoLocated)
-            st.linesPerRow = LeadLayout::kLeadsPerRow;
-        std::uint64_t module_bytes = stacked_bytes;
-        if (llt == LltKind::Embedded) {
-            module_bytes += CameoController::lltReserveLines(
-                                stacked_bytes / 64, 4) *
-                            64;
-        }
-        stacked = std::make_unique<DramModule>("p.stk", st, module_bytes);
-        offchip = std::make_unique<DramModule>("p.off", offchipTimings(),
-                                               3 << 20);
-        ctrl = std::make_unique<CameoController>(
-            CameoParams{llt, PredictorKind::Llp, 4}, *stacked, *offchip,
-            stacked_bytes / 64, (4ull << 20) / 64);
-    }
-
-    std::unique_ptr<DramModule> stacked;
-    std::unique_ptr<DramModule> offchip;
-    std::unique_ptr<CameoController> ctrl;
-};
+    OrgConfig c;
+    c.stackedBytes = 1 << 20;
+    c.offchipBytes = 3 << 20;
+    c.numCores = 4;
+    c.llt.kind = llt;
+    c.llt.predictor = PredictorKind::Llp;
+    return c;
+}
 
 TEST_F(LltPropertyTest, RandomTracesPreservePermutationUnderEveryLltKind)
 {
@@ -389,12 +373,12 @@ TEST_F(LltPropertyTest, RandomTracesPreservePermutationUnderEveryLltKind)
          {LltKind::Ideal, LltKind::Embedded, LltKind::CoLocated}) {
         SCOPED_TRACE(lltKindName(kind));
         AuditSink::global().reset();
-        PropertyFixture f(kind);
+        CameoOrg org(propertyConfig(kind));
         Rng rng(0xC0FFEEu + static_cast<std::uint64_t>(kind));
 
-        const std::uint64_t total = f.ctrl->groups().totalLines();
-        const std::uint64_t num_groups = f.ctrl->groups().numGroups();
-        const std::uint32_t k = f.ctrl->groups().groupSize();
+        const std::uint64_t total = org.groups().totalLines();
+        const std::uint64_t num_groups = org.groups().numGroups();
+        const std::uint32_t k = org.groups().groupSize();
         Tick now = 0;
         for (int i = 0; i < 50000; ++i) {
             now += rng.next(100);
@@ -405,19 +389,19 @@ TEST_F(LltPropertyTest, RandomTracesPreservePermutationUnderEveryLltKind)
                 rng.chance(0.5)
                     ? rng.next(k) * num_groups + rng.next(64)
                     : rng.next(total);
-            f.ctrl->access(now, line, rng.chance(0.25),
-                           0x400 + rng.next(64) * 4,
-                           static_cast<std::uint32_t>(rng.next(4)),
-                           Fidelity::Detailed);
+            org.access(now, line, rng.chance(0.25),
+                       0x400 + rng.next(64) * 4,
+                       static_cast<std::uint32_t>(rng.next(4)),
+                       Fidelity::Detailed);
         }
-        EXPECT_GT(f.ctrl->swaps().value(), 0u);
+        EXPECT_GT(org.swaps().value(), 0u);
 
         // Exhaustive invariant check: every group is a permutation.
-        EXPECT_EQ(f.ctrl->auditLlt(), 0u);
+        EXPECT_EQ(org.auditLlt(), 0u);
         LltAuditor auditor;
-        EXPECT_EQ(auditor.auditAll(f.ctrl->llt()), 0u);
-        for (std::uint64_t g = 0; g < f.ctrl->llt().numGroups(); ++g)
-            ASSERT_TRUE(f.ctrl->llt().verifyGroup(g));
+        EXPECT_EQ(auditor.auditAll(org.llt()), 0u);
+        for (std::uint64_t g = 0; g < org.llt().numGroups(); ++g)
+            ASSERT_TRUE(org.llt().verifyGroup(g));
 
         // Zero audit failures end to end (incremental swap checks, DRAM
         // protocol, and the exhaustive sweep above all report here).
@@ -430,19 +414,19 @@ TEST_F(LltPropertyTest, CorruptionIsCaughtNotSilent)
 {
     // Acceptance check: a deliberately corrupted LLT entry must be
     // caught by the auditor rather than passing silently.
-    PropertyFixture f(LltKind::Ideal);
-    const std::uint64_t groups = f.ctrl->groups().numGroups();
+    CameoOrg org(propertyConfig(LltKind::Ideal));
+    const std::uint64_t groups = org.groups().numGroups();
     for (std::uint64_t g = 0; g < 64; ++g)
-        f.ctrl->access(1000 * g, groups + g, false, 0x400, 0,
-                       Fidelity::Detailed);
-    ASSERT_EQ(f.ctrl->auditLlt(), 0u);
+        org.access(1000 * g, groups + g, false, 0x400, 0,
+                   Fidelity::Detailed);
+    ASSERT_EQ(org.auditLlt(), 0u);
     AuditSink::global().reset();
 
     // Simulate a metadata bug: one raw write that bypasses the swap
     // discipline.
-    const_cast<LineLocationTable &>(f.ctrl->llt()).poke(17, 0, 3);
+    const_cast<LineLocationTable &>(org.llt()).poke(17, 0, 3);
 
-    EXPECT_EQ(f.ctrl->auditLlt(), 1u);
+    EXPECT_EQ(org.auditLlt(), 1u);
     EXPECT_GE(AuditSink::global().failures(), 1u);
     EXPECT_NE(AuditSink::global().firstFailure().find("group 17"),
               std::string::npos);

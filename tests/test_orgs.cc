@@ -2,10 +2,12 @@
  * @file
  * Unit tests for the memory organizations: factory, visible-capacity
  * accounting (the crux of the capacity story), routing, the Alloy
- * cache, TLM migration variants, and the CAMEO wrapper.
+ * cache, TLM migration variants, and the CAMEO organization.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "orgs/alloy_cache.hh"
 #include "orgs/baseline.hh"
@@ -13,6 +15,7 @@
 #include "orgs/composed_org.hh"
 #include "orgs/memory_organization.hh"
 #include "orgs/policy/epoch_freq_placement.hh"
+#include "snapshot_common.hh"
 #include "util/rng.hh"
 
 namespace cameo
@@ -142,6 +145,47 @@ TEST(AlloyCacheTest, DirtyVictimWrittenBack)
     EXPECT_EQ(org.offchipModule().writes().value(), writes + 1);
 }
 
+TEST(AlloyCacheTest, TagArrayRoundTripsThroughSnapshot)
+{
+    const OrgConfig c = smallConfig();
+    AlloyCacheOrg org(c, c.offchipBytes);
+    const LineAddr a = 5;
+    org.access(0, a, false, 0x400, 0, Fidelity::Detailed);
+    org.access(1000, a + 7, true, 0x400, 0, Fidelity::Detailed);
+    const AlloyCacheOrg::TagEntry &set = org.tags()[a % org.numSets()];
+    EXPECT_TRUE(set.valid && set.tag == a && !set.dirty);
+    EXPECT_TRUE(org.tags()[(a + 7) % org.numSets()].dirty);
+
+    AlloyCacheOrg fresh(c, c.offchipBytes);
+    snaptest::expectRoundTripIdentical(org, fresh);
+    EXPECT_EQ(fresh.tags(), org.tags());
+    // The restored tags are live (counters are registry stats, not
+    // org state): the line resident before the snapshot hits, a
+    // same-set line misses.
+    fresh.access(2000, a, false, 0x400, 0, Fidelity::Detailed);
+    EXPECT_EQ(fresh.hits().value(), 1u);
+    fresh.access(3000, a + org.numSets(), false, 0x400, 0,
+                 Fidelity::Detailed);
+    EXPECT_EQ(fresh.misses().value(), 1u);
+}
+
+TEST(AlloyCacheTest, RestoreRejectsSetCountMismatch)
+{
+    // Same DRAM geometry (channels x banks), twice the sets: the DRAM
+    // modules restore, so the tag array's own check must refuse.
+    const OrgConfig c = smallConfig();
+    OrgConfig big = c;
+    big.stackedBytes = 2 * c.stackedBytes;
+    AlloyCacheOrg org(c, c.offchipBytes);
+    AlloyCacheOrg other(big, big.offchipBytes);
+    ASSERT_NE(org.numSets(), other.numSets());
+
+    std::string error;
+    EXPECT_FALSE(
+        snaptest::restoreFromBytes(other, snaptest::saveBytes(org), &error));
+    EXPECT_NE(error.find("set count mismatch"), std::string::npos) << error;
+}
+
 TEST(TlmStaticTest, RoutesByDevicePage)
 {
     const auto owner = makeOrganization(OrgKind::TlmStatic, smallConfig());
@@ -253,8 +297,10 @@ TEST(CameoOrgTest, ExposesController)
 {
     OrgConfig c = smallConfig();
     const auto org = makeOrganization(OrgKind::Cameo, c);
-    EXPECT_NE(org->cameo(), nullptr);
+    EXPECT_EQ(org->cameo(), org.get());
     EXPECT_EQ(org->cameo()->llt().groupSize(), 4u);
+    const auto freq = makeOrganization(OrgKind::CameoFreq, c);
+    EXPECT_EQ(freq->cameo(), freq.get());
     // Non-CAMEO organizations expose no controller.
     EXPECT_EQ(makeOrganization(OrgKind::Baseline, c)->cameo(), nullptr);
 }

@@ -23,7 +23,6 @@
 #include "orgs/composed_org.hh"
 #include "orgs/memory_organization.hh"
 #include "orgs/policy/epoch_freq_placement.hh"
-#include "orgs/policy/freq_admission_placement.hh"
 #include "orgs/policy/mapping_policy.hh"
 #include "orgs/policy/nth_touch_placement.hh"
 #include "orgs/policy/oracle_heat_placement.hh"
@@ -32,8 +31,8 @@
 #include "orgs/policy/placement_policy.hh"
 #include "orgs/policy/pte_cached_mapping.hh"
 #include "orgs/policy/sampling_freq_placement.hh"
-#include "orgs/policy/tad_tag_mapping.hh"
 #include "snapshot/snapshot.hh"
+#include "snapshot_common.hh"
 #include "util/rng.hh"
 
 namespace cameo
@@ -45,39 +44,9 @@ namespace
 // Helpers
 // ---------------------------------------------------------------------
 
-/** Serialize one Checkpointable into a framed snapshot blob. */
-std::vector<std::uint8_t>
-saveBytes(const Checkpointable &c)
-{
-    SnapshotWriter w;
-    w.beginSection("policy");
-    c.save(w);
-    w.endSection();
-    return w.finish();
-}
-
-/** Restore @p c from @p bytes; returns the reader's final state. */
-bool
-restoreFromBytes(Checkpointable &c, std::vector<std::uint8_t> bytes)
-{
-    SnapshotReader r;
-    if (!r.open(std::move(bytes)))
-        return false;
-    r.enterSection("policy");
-    c.restore(r);
-    r.leaveSection();
-    return r.ok();
-}
-
-/** save -> restore into @p fresh -> save must be byte-identical. */
-template <typename T>
-void
-expectRoundTripIdentical(const T &original, T &fresh)
-{
-    const std::vector<std::uint8_t> first = saveBytes(original);
-    ASSERT_TRUE(restoreFromBytes(fresh, first));
-    EXPECT_EQ(first, saveBytes(fresh));
-}
+using snaptest::expectRoundTripIdentical;
+using snaptest::restoreFromBytes;
+using snaptest::saveBytes;
 
 /**
  * PlacementContext over a standalone PageRemapMapping: lets a placement
@@ -220,27 +189,6 @@ TEST(PageRemapMappingTest, RestoreRejectsSizeMismatch)
     PageRemapMapping big(64);
     PageRemapMapping small(32);
     EXPECT_FALSE(restoreFromBytes(small, saveBytes(big)));
-}
-
-TEST(TadTagMappingTest, TracksResidencyAndRoundTrips)
-{
-    TadTagMapping tags(128);
-    EXPECT_STREQ(tags.policyName(), "tad-tags");
-    EXPECT_FALSE(tags.hit(5));
-
-    TadTagMapping::Entry &set = tags.setFor(5);
-    set.tag = 5;
-    set.valid = true;
-    EXPECT_TRUE(tags.hit(5));
-    EXPECT_FALSE(tags.hit(5 + 128)); // same set, different tag
-    EXPECT_EQ(tags.setIndexOf(5 + 128), tags.setIndexOf(5));
-
-    TadTagMapping fresh(128);
-    expectRoundTripIdentical(tags, fresh);
-    EXPECT_TRUE(fresh.hit(5));
-
-    TadTagMapping wrong(64);
-    EXPECT_FALSE(restoreFromBytes(wrong, saveBytes(tags)));
 }
 
 // ---------------------------------------------------------------------
@@ -526,7 +474,7 @@ TEST(SamplingFreqPlacementTest, DeterministicAcrossFidelities)
 }
 
 // ---------------------------------------------------------------------
-// Stateless policy identities + the freq-admission filter
+// Stateless policy identities
 // ---------------------------------------------------------------------
 
 TEST(StatelessPolicyTest, NamesAndEmptyCheckpoints)
@@ -535,22 +483,6 @@ TEST(StatelessPolicyTest, NamesAndEmptyCheckpoints)
     EXPECT_STREQ(stat.policyName(), "static");
     StaticPlacement stat2;
     expectRoundTripIdentical(stat, stat2);
-}
-
-TEST(FreqAdmissionPlacementTest, AdmitsOnlyProvenHotPages)
-{
-    FreqAdmissionPlacement filter(64, 1 << 20);
-    EXPECT_STREQ(filter.policyName(), "freq-admission");
-    const LineAddr line = 5 * kLinesPerPage;
-    EXPECT_FALSE(filter.shouldAdmit(line)); // cold page: no swap
-    for (std::uint32_t i = 0;
-         i < FreqAdmissionPlacement::kHotThreshold; ++i)
-        filter.noteAccess(line);
-    EXPECT_TRUE(filter.shouldAdmit(line));
-    EXPECT_EQ(filter.hotPages().value(), 1u);
-
-    FreqAdmissionPlacement fresh(64, 1 << 20);
-    expectRoundTripIdentical(filter, fresh);
 }
 
 // ---------------------------------------------------------------------
@@ -603,6 +535,15 @@ TEST(OrgCompositionTest, TableMatchesLivePolicyNames)
                      composed->placementPolicy().policyName())
             << orgKindName(kind);
     }
+    // The single-class organizations hold no policy objects; their rows
+    // name the mechanism the org's own access path implements.
+    EXPECT_STREQ(orgComposition(OrgKind::AlloyCache).mapping, "tad-tags");
+    EXPECT_STREQ(orgComposition(OrgKind::DoubleUse).mapping, "tad-tags");
+    EXPECT_STREQ(orgComposition(OrgKind::Cameo).mapping, "llt-line-swap");
+    EXPECT_STREQ(orgComposition(OrgKind::CameoFreq).mapping,
+                 "llt-line-swap");
+    EXPECT_STREQ(orgComposition(OrgKind::CameoFreq).placement,
+                 "freq-admission");
 }
 
 TEST(OrgConfigValidateTest, AcceptsDefaultsRejectsBrokenPoints)

@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "core/cameo_controller.hh"
 #include "core/congruence_group.hh"
 #include "core/line_location_table.hh"
+#include "orgs/cameo_org.hh"
 #include "orgs/composed_org.hh"
 #include "system/config.hh"
 #include "system/system.hh"
@@ -157,29 +157,27 @@ TEST(CameoPropertyTest, EveryLineRemainsReachable)
     // After heavy random traffic with swapping, every OS-physical line
     // must still resolve to exactly one device location (the LLT
     // permutation guarantees it; this exercises the full controller).
-    DramTimings st = stackedTimings();
-    st.linesPerRow = LeadLayout::kLeadsPerRow;
-    DramModule stacked("p.stk", st, 256 << 10);
-    DramModule offchip("p.off", offchipTimings(), 768 << 10);
-    CameoController ctrl(
-        CameoParams{LltKind::CoLocated, PredictorKind::Llp, 2}, stacked,
-        offchip, (256 << 10) / 64, (1 << 20) / 64);
+    OrgConfig c;
+    c.stackedBytes = 256 << 10;
+    c.offchipBytes = 768 << 10;
+    c.numCores = 2;
+    CameoOrg org(c);
     Rng rng(12);
     Tick now = 0;
     for (int i = 0; i < 50000; ++i) {
-        ctrl.access(now, rng.next((1 << 20) / 64), rng.chance(0.25),
-                    0x400000 + 4 * rng.next(128),
-                    static_cast<std::uint32_t>(rng.next(2)),
-                    Fidelity::Detailed);
+        org.access(now, rng.next((1 << 20) / 64), rng.chance(0.25),
+                   0x400000 + 4 * rng.next(128),
+                   static_cast<std::uint32_t>(rng.next(2)),
+                   Fidelity::Detailed);
         now += 30;
     }
-    const auto &groups = ctrl.groups();
+    const auto &groups = org.groups();
     for (std::uint64_t g = 0; g < groups.numGroups(); g += 37) {
-        ASSERT_TRUE(ctrl.llt().verifyGroup(g));
+        ASSERT_TRUE(org.llt().verifyGroup(g));
         // Locations of the group tile {0..K-1}.
         std::set<std::uint32_t> locs;
         for (std::uint32_t s = 0; s < groups.groupSize(); ++s)
-            locs.insert(ctrl.llt().locationOf(g, s));
+            locs.insert(org.llt().locationOf(g, s));
         ASSERT_EQ(locs.size(), groups.groupSize());
     }
 }

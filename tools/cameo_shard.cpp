@@ -78,15 +78,21 @@ splitCsv(const std::string &text)
     return out;
 }
 
-/** Env-default for a flag: strictly parsed, malformed values warn. */
+/** Env-default for a flag: strictly parsed; malformed values and
+ *  values above @p max warn and fall back. */
 std::uint64_t
-envDefault(const char *name, std::uint64_t fallback)
+envDefault(const char *name, std::uint64_t fallback, std::uint64_t max)
 {
     std::string error;
     const std::optional<std::uint64_t> value = envUint(name, &error);
+    if (value && *value > max) {
+        error = std::string(name) + ": value out of range: '" +
+                std::to_string(*value) + "'";
+    }
     if (!error.empty()) {
         std::cerr << "warning: " << error << " (using default "
                   << fallback << ")\n";
+        return fallback;
     }
     return value.value_or(fallback);
 }
@@ -142,20 +148,24 @@ main(int argc, char **argv)
     const std::vector<std::string> org_names =
         splitCsv(cli.getString("orgs", "cameo"));
     const std::uint64_t accesses = cli.getUint("accesses", 200'000);
-    const std::uint64_t cores = cli.getUint("cores", 8);
-    const std::uint64_t stacked_mb = cli.getUint("stacked-mb", 8);
-    const std::uint64_t offchip_mb = cli.getUint("offchip-mb", 24);
+    const std::uint64_t cores = cli.getUint("cores", 8, UINT32_MAX);
+    const std::uint64_t stacked_mb =
+        cli.getUint("stacked-mb", 8, UINT64_MAX >> 20);
+    const std::uint64_t offchip_mb =
+        cli.getUint("offchip-mb", 24, UINT64_MAX >> 20);
     const std::uint64_t seed = cli.getUint("seed", 42);
     const std::string timing = cli.getString("timing", "blocking");
     const std::uint64_t warmup = cli.getUint("warmup", 0);
     const std::string fidelity = cli.getString("fidelity", "");
-    const unsigned shards = static_cast<unsigned>(
-        cli.getUint("shards", envDefault("CAMEO_SHARDS", 0)));
-    const unsigned shard_index = static_cast<unsigned>(cli.getUint(
-        "shard-index", envDefault("CAMEO_SHARD_INDEX", 0)));
+    const unsigned shards = static_cast<unsigned>(cli.getUint(
+        "shards", envDefault("CAMEO_SHARDS", 0, UINT32_MAX), UINT32_MAX));
+    const unsigned shard_index = static_cast<unsigned>(
+        cli.getUint("shard-index",
+                    envDefault("CAMEO_SHARD_INDEX", 0, UINT32_MAX),
+                    UINT32_MAX));
     const bool worker = cli.getBool("worker");
     const unsigned jobs =
-        static_cast<unsigned>(cli.getUint("jobs", 1));
+        static_cast<unsigned>(cli.getUint("jobs", 1, UINT32_MAX));
     const std::string trace_dir = cli.getString("trace-cache-dir", "");
     const std::string out_path = cli.getString("out", "");
     const std::string summary_path = cli.getString("summary-json", "");
