@@ -94,7 +94,7 @@ main(int argc, char **argv)
     const std::string name = argc > 1 ? argv[1] : "soplex";
     const WorkloadProfile *profile = findWorkload(name);
     if (profile == nullptr) {
-        std::cerr << "unknown workload '" << name << "'\n";
+        std::cerr << "error: unknown workload '" << name << "'\n";
         return EXIT_FAILURE;
     }
     SystemConfig config = defaultConfig();

@@ -28,7 +28,7 @@ main(int argc, char **argv)
     const std::string workload_name = argc > 1 ? argv[1] : "milc";
     const WorkloadProfile *profile = findWorkload(workload_name);
     if (profile == nullptr) {
-        std::cerr << "unknown workload '" << workload_name
+        std::cerr << "error: unknown workload '" << workload_name
                   << "'; available:";
         for (const auto &w : allWorkloads())
             std::cerr << " " << w.name;

@@ -43,7 +43,7 @@ cmdRecord(int argc, char **argv)
     }
     const WorkloadProfile *profile = findWorkload(argv[2]);
     if (profile == nullptr) {
-        std::cerr << "unknown workload '" << argv[2] << "'\n";
+        std::cerr << "error: unknown workload '" << argv[2] << "'\n";
         return EXIT_FAILURE;
     }
     std::uint64_t count = 200'000;

@@ -435,14 +435,29 @@ DramModule::restore(SnapshotReader &r)
         }
     }
     if (queued) {
+        // Restored queues must hold state the live controller can
+        // reach under this module's queue configuration; anything else
+        // is a snapshot from another configuration, or corrupt.
         for (QueuedChannel &qc : queued_) {
             const std::uint64_t nReads = r.u64();
+            if (r.ok() && nReads > queueCfg_.readWindow) {
+                r.fail("dram: '" + name_ + "' snapshot holds " +
+                       std::to_string(nReads) +
+                       " in-service reads in a channel; the read "
+                       "window is " +
+                       std::to_string(queueCfg_.readWindow));
+                return;
+            }
             qc.inServiceReads.clear();
             for (std::uint64_t i = 0; i < nReads && r.ok(); ++i) {
                 const Tick t = r.u64();
-                // Restored windows must honor the invariant the live
-                // controller maintains: bus-serialized reads complete
-                // in nondecreasing order.
+                // Bus-serialized reads complete in nondecreasing order.
+                if (!qc.inServiceReads.empty() &&
+                    t < qc.inServiceReads.back()) {
+                    r.fail("dram: '" + name_ + "' snapshot's in-service "
+                           "read completion ticks decrease");
+                    return;
+                }
                 CAMEO_AUDIT(qc.inServiceReads.empty() ||
                                 t >= qc.inServiceReads.back(),
                             "dram: restored in-service read window not "
@@ -450,6 +465,14 @@ DramModule::restore(SnapshotReader &r)
                 qc.inServiceReads.push_back(t);
             }
             const std::uint64_t nWrites = r.u64();
+            if (r.ok() && nWrites > queueCfg_.drainHighWatermark) {
+                r.fail("dram: '" + name_ + "' snapshot holds " +
+                       std::to_string(nWrites) +
+                       " buffered writes in a channel; the drain high "
+                       "watermark is " +
+                       std::to_string(queueCfg_.drainHighWatermark));
+                return;
+            }
             qc.writeQueue.clear();
             for (std::uint64_t i = 0; i < nWrites && r.ok(); ++i) {
                 QueuedWrite qw;

@@ -1,5 +1,6 @@
 #include "orgs/memory_organization.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 
@@ -41,8 +42,16 @@ MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
 #endif
     if (timingMode_ == TimingMode::Queued && events_ != nullptr &&
         client != nullptr) {
-        inflight_.push_back({req, done, client});
-        scheduleCompletion(req, done, client);
+        std::uint32_t slot;
+        if (freeInflight_.empty()) {
+            slot = static_cast<std::uint32_t>(inflight_.size());
+            inflight_.push_back({req, done, client});
+        } else {
+            slot = freeInflight_.back();
+            freeInflight_.pop_back();
+            inflight_[slot] = {req, done, client};
+        }
+        scheduleCompletion(slot);
         return done;
     }
 #if CAMEO_AUDIT_ENABLED
@@ -54,42 +63,58 @@ MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
 }
 
 void
-MemoryOrganization::scheduleCompletion(const MemRequest &req, Tick done,
-                                       MemClient *client)
+MemoryOrganization::scheduleCompletion(std::uint32_t slot)
 {
-    events_->schedule(done, [this, req, client](Tick when) {
-        // Retire from the in-flight registry before delivery so a
-        // snapshot taken from inside the callback (not a supported
-        // call site, but cheap to get right) never replays this
-        // completion.
-        for (std::size_t i = 0; i < inflight_.size(); ++i) {
-            if (inflight_[i].req.id == req.id) {
-                inflight_.erase(inflight_.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-                break;
-            }
-        }
-#if CAMEO_AUDIT_ENABLED
-        queueAudit_.onComplete(req.id, when);
-#endif
-        client->onMemComplete(req, when);
+    // Two words of capture fit std::function's inline buffer, so the
+    // completion event allocates nothing.
+    events_->schedule(inflight_[slot].done, [this, slot](Tick when) {
+        completeInflight(slot, when);
     });
+}
+
+void
+MemoryOrganization::completeInflight(std::uint32_t slot, Tick when)
+{
+    // Copy out first: the client may submit, which can grow the slab.
+    const MemRequest req = inflight_[slot].req;
+    MemClient *const client = inflight_[slot].client;
+    // Retire from the in-flight registry before delivery so a
+    // snapshot taken from inside the callback (not a supported call
+    // site, but cheap to get right) never replays this completion.
+    inflight_[slot].req.id = 0;
+    freeInflight_.push_back(slot);
+#if CAMEO_AUDIT_ENABLED
+    queueAudit_.onComplete(req.id, when);
+#endif
+    client->onMemComplete(req, when);
 }
 
 void
 MemoryOrganization::save(SnapshotWriter &w) const
 {
     w.u64(lastRequestId_);
-    w.u64(inflight_.size());
+    // Live slots in request-id order: ids rise with submission, so this
+    // is the submission order rescheduleInflight() replays.
+    std::vector<const InflightRequest *> live;
+    live.reserve(inflightCount());
     for (const InflightRequest &f : inflight_) {
-        w.u64(f.req.id);
-        w.u64(f.req.tag);
-        w.u64(f.req.line);
-        w.b(f.req.isWrite);
-        w.u64(f.req.pc);
-        w.u32(f.req.core);
-        w.u64(f.req.issueTick);
-        w.u64(f.done);
+        if (f.req.id != 0)
+            live.push_back(&f);
+    }
+    std::sort(live.begin(), live.end(),
+              [](const InflightRequest *a, const InflightRequest *b) {
+                  return a->req.id < b->req.id;
+              });
+    w.u64(live.size());
+    for (const InflightRequest *f : live) {
+        w.u64(f->req.id);
+        w.u64(f->req.tag);
+        w.u64(f->req.line);
+        w.b(f->req.isWrite);
+        w.u64(f->req.pc);
+        w.u32(f->req.core);
+        w.u64(f->req.issueTick);
+        w.u64(f->done);
     }
     if (const DramModule *stacked = stackedModule())
         stacked->save(w);
@@ -102,6 +127,7 @@ MemoryOrganization::restore(SnapshotReader &r)
     lastRequestId_ = r.u64();
     const std::uint64_t n = r.u64();
     inflight_.clear();
+    freeInflight_.clear();
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         InflightRequest f;
         f.req.id = r.u64();
@@ -112,6 +138,17 @@ MemoryOrganization::restore(SnapshotReader &r)
         f.req.core = r.u32();
         f.req.issueTick = r.u64();
         f.done = r.u64();
+        if (!r.ok())
+            break;
+        // save() writes issued ids in ascending order; anything else
+        // could not come from a live pipeline (and id 0 marks a free
+        // slot).
+        if (f.req.id == 0 || f.req.id > lastRequestId_ ||
+            (!inflight_.empty() && f.req.id <= inflight_.back().req.id)) {
+            r.fail("org: snapshot's in-flight request ids are not "
+                   "ascending issued ids");
+            break;
+        }
         inflight_.push_back(f);
     }
     if (r.ok() && !inflight_.empty() &&
@@ -135,16 +172,20 @@ void
 MemoryOrganization::rescheduleInflight(
     const std::function<MemClient *(std::uint32_t)> &client_of)
 {
-    if (inflight_.empty())
+    if (inflightCount() == 0)
         return;
     assert(events_ != nullptr &&
            "bind the event queue before rescheduling");
-    // Submission order reproduces the original scheduling order, so
-    // same-tick completions keep their FIFO sequence numbers.
-    for (InflightRequest &f : inflight_) {
+    assert(freeInflight_.empty() &&
+           "reschedule only a freshly restored in-flight slab");
+    // restore() filled slots 0..n-1 in submission order, which
+    // reproduces the original scheduling order, so same-tick
+    // completions keep their FIFO sequence numbers.
+    for (std::uint32_t slot = 0; slot < inflight_.size(); ++slot) {
+        InflightRequest &f = inflight_[slot];
         f.client = client_of(f.req.core);
         assert(f.client != nullptr);
-        scheduleCompletion(f.req, f.done, f.client);
+        scheduleCompletion(slot);
     }
 }
 
@@ -167,7 +208,7 @@ MemoryOrganization::applyTimingConfig(const OrgConfig &config)
 void
 MemoryOrganization::resetTiming()
 {
-    assert(inflight_.empty() &&
+    assert(inflightCount() == 0 &&
            "drain in-flight transactions before a timing reset");
     lastRequestId_ = 0;
     if (DramModule *stacked = stackedModule())

@@ -276,7 +276,10 @@ class MemoryOrganization : public Checkpointable
         const std::function<MemClient *(std::uint32_t)> &client_of);
 
     /** Number of submitted-but-undelivered requests (Queued mode). */
-    std::size_t inflightCount() const { return inflight_.size(); }
+    std::size_t inflightCount() const
+    {
+        return inflight_.size() - freeInflight_.size();
+    }
 
     const std::string &name() const { return name_; }
 
@@ -294,7 +297,10 @@ class MemoryOrganization : public Checkpointable
     void applyTimingConfig(const OrgConfig &config);
 
   private:
-    /** A submitted request whose completion has not been delivered. */
+    /**
+     * A submitted request whose completion has not been delivered. A
+     * slot whose req.id is 0 is free (request ids start at 1).
+     */
     struct InflightRequest
     {
         MemRequest req;
@@ -302,9 +308,11 @@ class MemoryOrganization : public Checkpointable
         MemClient *client = nullptr; ///< Not serialized; see restore().
     };
 
-    /** Schedule @p client's completion on the bound event queue. */
-    void scheduleCompletion(const MemRequest &req, Tick done,
-                            MemClient *client);
+    /** Schedule inflight_[@p slot]'s completion on the event queue. */
+    void scheduleCompletion(std::uint32_t slot);
+
+    /** Retire inflight_[@p slot], then deliver it at @p when. */
+    void completeInflight(std::uint32_t slot, Tick when);
 
     std::string name_;
     TimingMode timingMode_ = TimingMode::Blocking;
@@ -312,11 +320,13 @@ class MemoryOrganization : public Checkpointable
     std::uint64_t lastRequestId_ = 0;
 
     /**
-     * Submission-ordered registry of queued, undelivered requests —
-     * the serializable image of the kernel's pending completion
-     * events. Empty in Blocking mode.
+     * Slab of queued, undelivered requests — the serializable image of
+     * the kernel's pending completion events. Each completion event
+     * names its slot, so retiring a request is O(1); freed slots are
+     * reused through freeInflight_. Empty in Blocking mode.
      */
     std::vector<InflightRequest> inflight_;
+    std::vector<std::uint32_t> freeInflight_;
 
 #if CAMEO_AUDIT_ENABLED
     /** Shadow accounting of every submitted transaction. */

@@ -10,7 +10,16 @@ void
 EventQueue::schedule(Tick when, Callback cb)
 {
     assert(when >= curTick_ && "scheduling into the past");
-    heap_.push(Entry{when, nextSeq_++, std::move(cb)});
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(std::move(cb));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = std::move(cb);
+    }
+    heap_.push(Entry{when, nextSeq_++, slot});
 }
 
 Tick
@@ -24,12 +33,14 @@ void
 EventQueue::runOne()
 {
     assert(!heap_.empty());
-    // priority_queue::top() is const; move out via const_cast is UB-free
-    // here because we pop immediately, but copy instead for clarity.
-    Entry e = heap_.top();
+    const Entry e = heap_.top();
     heap_.pop();
     curTick_ = e.when;
-    e.cb(e.when);
+    // Free the slot before the call: the callback may schedule, which
+    // can reuse this slot or grow (and so move) the slab.
+    Callback cb = std::move(slots_[e.slot]);
+    freeSlots_.push_back(e.slot);
+    cb(e.when);
 }
 
 void

@@ -3,10 +3,18 @@
  * A minimal discrete-event queue.
  *
  * The main simulation loop (SimKernel) advances core agents by local
- * clock, but a few components want to schedule deferred callbacks (e.g.
- * epoch-based page migration in TLM-Freq, delayed stat snapshots in
- * tests). EventQueue provides that: (tick, sequence)-ordered callbacks
- * with deterministic FIFO tie-breaking.
+ * clock; the event queue carries what happens between their steps. Its
+ * one production scheduler is the memory organization's Queued-timing
+ * completion path (MemoryOrganization::submit, DESIGN.md §9), which
+ * delivers every in-flight request at its completion tick; tests and
+ * the benchmark's kernel replay schedule their own callbacks. Events
+ * run in (tick, sequence) order, so same-tick events fire in the order
+ * they were scheduled.
+ *
+ * The heap holds 24-byte POD entries; callbacks wait in a slab of
+ * slots recycled through a free list. A completion callback that
+ * captures no more than two words is stored inside its std::function,
+ * so a steady-state schedule/run cycle allocates nothing.
  */
 
 #ifndef CAMEO_SIM_EVENT_QUEUE_HH
@@ -66,17 +74,17 @@ class EventQueue
     std::size_t size() const { return heap_.size(); }
 
   private:
+    /** A pending event; its callback waits in slots_[slot]. */
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t slot;
     };
 
     struct Later
     {
-        bool
-        operator()(const Entry &a, const Entry &b) const
+        bool operator()(const Entry &a, const Entry &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -85,6 +93,11 @@ class EventQueue
     };
 
     std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+
+    /** Callback slab; a slot is free while its index is in freeSlots_. */
+    std::vector<Callback> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+
     std::uint64_t nextSeq_ = 0;
     Tick curTick_ = 0;
 };

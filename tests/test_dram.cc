@@ -7,11 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dram/address_map.hh"
+#include "dram/bank.hh"
 #include "dram/dram_module.hh"
+#include "dram/queue_config.hh"
 #include "dram/timings.hh"
+#include "snapshot/snapshot.hh"
 #include "util/rng.hh"
 
 namespace cameo
@@ -306,6 +313,108 @@ TEST(DramModuleExtraTest, WriteDrainHalvesBusOccupancy)
     // Ten writes: bus advanced 10 * burst/2; the last completes one
     // full burst after its start.
     EXPECT_EQ(done, 9 * (burst / 2) + burst);
+}
+
+/**
+ * A Queued snapshot image of an idle @p t-geometry module whose every
+ * channel holds @p reads in-service read completions and @p writes
+ * buffered writes.
+ */
+std::vector<std::uint8_t>
+queuedImage(const DramTimings &t, const std::vector<Tick> &reads,
+            std::uint64_t writes)
+{
+    SnapshotWriter w;
+    w.beginSection("dram");
+    w.u32(t.channels);
+    w.u32(t.banksPerChannel);
+    w.u8(1); // Queued
+    for (std::uint32_t c = 0; c < t.channels; ++c) {
+        w.u64(0); // bus ready
+        for (std::uint32_t b = 0; b < t.banksPerChannel; ++b) {
+            w.u64(Bank::kNoRow);
+            w.u64(0);
+            w.u64(0);
+        }
+    }
+    for (std::uint32_t c = 0; c < t.channels; ++c) {
+        w.u64(reads.size());
+        for (const Tick done : reads)
+            w.u64(done);
+        w.u64(writes);
+        for (std::uint64_t i = 0; i < writes; ++i) {
+            w.u64(i);
+            w.u32(64);
+        }
+    }
+    w.u64(0); // bandwidth window start
+    w.u64(0); // bandwidth window bytes
+    w.endSection();
+    return w.finish();
+}
+
+/** Restore @p image into a default Queued module; its error or "". */
+std::string
+restoreQueuedImage(std::vector<std::uint8_t> image)
+{
+    DramModule mod("t.restore", offchipTimings(), 1ull << 26);
+    mod.setTimingMode(TimingMode::Queued, DramQueueConfig{});
+    SnapshotReader r;
+    if (r.open(std::move(image)) && r.enterSection("dram")) {
+        mod.restore(r);
+        r.leaveSection();
+    }
+    return r.error();
+}
+
+TEST(DramModuleSnapshotTest, RestoreRejectsUnreachableQueueState)
+{
+    // The default controller (read window 16, drain watermarks 24/8)
+    // never holds more than 16 in-service reads or 24 buffered writes
+    // in a channel, and bus-serialized reads complete in order.
+    const DramTimings t = offchipTimings();
+    const DramQueueConfig q;
+    std::vector<Tick> full_window;
+    for (std::uint32_t i = 0; i < q.readWindow; ++i)
+        full_window.push_back(100 + 10 * i);
+    EXPECT_EQ(restoreQueuedImage(queuedImage(t, full_window,
+                                             q.drainHighWatermark)),
+              "");
+
+    // A module run with a wider controller (window 64, watermarks
+    // 60/48) holds queues the default controller cannot reach.
+    DramQueueConfig wide;
+    wide.readWindow = 64;
+    wide.writeQueueDepth = 64;
+    wide.drainHighWatermark = 60;
+    wide.drainLowWatermark = 48;
+    DramModule src("t.wide", t, 1ull << 26);
+    src.setTimingMode(TimingMode::Queued, wide);
+    for (std::uint64_t line = 0; line < 4096; ++line)
+        src.request(0, line, /*is_write=*/false, 64);
+    SnapshotWriter w;
+    w.beginSection("dram");
+    src.save(w);
+    w.endSection();
+    const std::string wider = restoreQueuedImage(w.finish());
+    EXPECT_EQ(wider.rfind("dram: ", 0), 0u) << wider;
+
+    std::vector<Tick> over_window = full_window;
+    over_window.push_back(full_window.back() + 10);
+    const std::string reads =
+        restoreQueuedImage(queuedImage(t, over_window, 0));
+    EXPECT_EQ(reads.rfind("dram: ", 0), 0u) << reads;
+    EXPECT_NE(reads.find("read window"), std::string::npos) << reads;
+
+    const std::string order =
+        restoreQueuedImage(queuedImage(t, {200, 150}, 0));
+    EXPECT_EQ(order.rfind("dram: ", 0), 0u) << order;
+    EXPECT_NE(order.find("decrease"), std::string::npos) << order;
+
+    const std::string writes = restoreQueuedImage(
+        queuedImage(t, {}, std::uint64_t{q.drainHighWatermark} + 1));
+    EXPECT_EQ(writes.rfind("dram: ", 0), 0u) << writes;
+    EXPECT_NE(writes.find("high watermark"), std::string::npos) << writes;
 }
 
 TEST(DramModuleExtraTest, BurstBytesScaleBusTime)

@@ -15,6 +15,10 @@
  *    organization, completions delivered through a real EventQueue,
  *    must drain completely — no lost or duplicated completions, every
  *    delivery at or after its issue tick, delivery ticks monotone.
+ *  - In-flight snapshots: requests that retire out of order leave holes
+ *    in the in-flight slab, yet a snapshot lists them in submission
+ *    order and a restored organization delivers exactly what the
+ *    uninterrupted one does.
  *  - Queued System runs: every organization finishes its trace, the
  *    executed trace is identical to Blocking, and a sweep of Queued
  *    systems is bit-identical across worker counts.
@@ -33,6 +37,8 @@
 #include "orgs/memory_organization.hh"
 #include "sim/event_queue.hh"
 #include "sim/mem_request.hh"
+#include "snapshot/snapshot.hh"
+#include "snapshot_common.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
 #include "util/rng.hh"
@@ -302,6 +308,119 @@ TEST(PipelineQueuedTest, RandomStreamDrainsCleanlyForEveryOrg)
                       client.deliveries[i - 1].done)
                 << orgKindName(kind) << " delivery order regressed";
         }
+    }
+}
+
+TEST(PipelineQueuedTest, InflightSnapshotKeepsSubmissionOrder)
+{
+    // Completions retire out of submission order, so by the snapshot
+    // the in-flight slab has holes and reused slots. The snapshot must
+    // still list requests in submission (id) order, and a fresh org
+    // restored from it must deliver exactly what the uninterrupted org
+    // delivers, ties included. A snapshot whose ids do not ascend is
+    // refused.
+    const OrgConfig oc = smallOrgConfig(TimingMode::Queued);
+    for (const OrgKind kind : {OrgKind::Baseline, OrgKind::Cameo}) {
+        const auto org = makeOrganization(kind, oc);
+        EventQueue events;
+        org->bindEventQueue(&events);
+        RecordingClient client;
+        const std::uint64_t lines = org->visibleBytes() / kLineBytes;
+        const auto reqs = makeRequestStream(lines, oc.numCores, 3000, 77);
+        const std::size_t pause = reqs.size() / 2;
+        const auto submit = [&](MemoryOrganization &o, EventQueue &q,
+                                RecordingClient &c, std::size_t from,
+                                std::size_t to) {
+            for (std::size_t i = from; i < to; ++i) {
+                const TestReq &r = reqs[i];
+                q.runUntil(r.now);
+                o.submit(r.now, r.line, /*is_write=*/false, r.pc, r.core,
+                         /*tag=*/1, &c);
+            }
+        };
+        // The first half, leaving its last arrivals in flight.
+        submit(*org, events, client, 0, pause);
+        std::size_t out_of_order = 0;
+        for (std::size_t i = 1; i < client.deliveries.size(); ++i) {
+            if (client.deliveries[i].req.id <
+                client.deliveries[i - 1].req.id)
+                ++out_of_order;
+        }
+        EXPECT_GT(out_of_order, 0u) << orgKindName(kind);
+        ASSERT_GE(org->inflightCount(), 2u) << orgKindName(kind);
+
+        const std::vector<std::uint8_t> bytes = snaptest::saveBytes(*org);
+        SnapshotReader r;
+        ASSERT_TRUE(r.open(bytes));
+        ASSERT_TRUE(r.enterSection("component"));
+        r.u64(); // lastRequestId
+        const std::uint64_t saved = r.u64();
+        EXPECT_EQ(saved, org->inflightCount());
+        std::uint64_t prev_id = 0;
+        for (std::uint64_t i = 0; i < saved; ++i) {
+            const std::uint64_t id = r.u64();
+            EXPECT_GT(id, prev_id) << orgKindName(kind);
+            prev_id = id;
+            // tag, line, isWrite, pc, core, issueTick, done
+            r.u64();
+            r.u64();
+            r.b();
+            r.u64();
+            r.u32();
+            r.u64();
+            r.u64();
+        }
+        ASSERT_TRUE(r.ok()) << r.error();
+
+        // Uninterrupted: drain, then run the second half.
+        client.deliveries.clear();
+        submit(*org, events, client, pause, reqs.size());
+        events.runAll();
+
+        const auto fresh = makeOrganization(kind, oc);
+        ASSERT_TRUE(snaptest::restoreFromBytes(*fresh, bytes));
+        EventQueue fresh_events;
+        fresh->bindEventQueue(&fresh_events);
+        RecordingClient fresh_client;
+        fresh->rescheduleInflight(
+            [&](std::uint32_t) -> MemClient * { return &fresh_client; });
+        submit(*fresh, fresh_events, fresh_client, pause, reqs.size());
+        fresh_events.runAll();
+
+        ASSERT_EQ(fresh_client.deliveries.size(), client.deliveries.size())
+            << orgKindName(kind);
+        for (std::size_t i = 0; i < client.deliveries.size(); ++i) {
+            EXPECT_EQ(fresh_client.deliveries[i].req.id,
+                      client.deliveries[i].req.id)
+                << orgKindName(kind) << " delivery " << i;
+            EXPECT_EQ(fresh_client.deliveries[i].done,
+                      client.deliveries[i].done)
+                << orgKindName(kind) << " delivery " << i;
+        }
+        org->bindEventQueue(nullptr);
+        fresh->bindEventQueue(nullptr);
+
+        // In-flight ids that do not ascend could not come from a live
+        // pipeline: the restore must refuse them.
+        SnapshotWriter bad;
+        bad.beginSection("component");
+        bad.u64(10); // lastRequestId
+        bad.u64(2);  // in flight
+        for (const std::uint64_t id : {7, 5}) {
+            bad.u64(id);
+            bad.u64(0);   // tag
+            bad.u64(0);   // line
+            bad.b(false); // isWrite
+            bad.u64(0);   // pc
+            bad.u32(0);   // core
+            bad.u64(0);   // issueTick
+            bad.u64(0);   // done
+        }
+        bad.endSection();
+        std::string error;
+        EXPECT_FALSE(snaptest::restoreFromBytes(
+            *makeOrganization(kind, oc), bad.finish(), &error));
+        EXPECT_EQ(error.rfind("org: ", 0), 0u) << error;
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -89,6 +91,62 @@ TEST(EventQueueTest, FifoTieBreakSurvivesInterleavedExecution)
     q.schedule(5, [&](Tick) { order.push_back(3); });
     q.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueueTest, CallbackMaySchedulePastSlabCapacity)
+{
+    // The callback keeps reading its captures while its own schedules
+    // grow (and so reallocate) the callback slab. runOne() must have
+    // moved it out of its slot first; invoked in place, the capture
+    // would be read from freed memory (ASan reports that).
+    EventQueue q;
+    std::vector<std::pair<Tick, int>> fired;
+    constexpr int kSpawned = 1500;
+    q.schedule(10, [&q, &fired](Tick now) {
+        for (int i = 0; i < kSpawned; ++i) {
+            const Tick when = now + static_cast<Tick>((i * 7) % 5);
+            q.schedule(when, [&fired, i](Tick t) { fired.push_back({t, i}); });
+        }
+    });
+    q.runAll();
+    ASSERT_EQ(fired.size(), static_cast<std::size_t>(kSpawned));
+    // (tick, seq) order: by tick, then in scheduling order.
+    std::vector<std::pair<Tick, int>> expected;
+    for (int i = 0; i < kSpawned; ++i)
+        expected.push_back({10 + static_cast<Tick>((i * 7) % 5), i});
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueueTest, ReusedSlotsKeepFifoOrder)
+{
+    // Each runOne() frees a slot that the next schedule reuses, so slot
+    // indices stop following scheduling order; same-tick events must
+    // still fire first in, first out.
+    EventQueue q;
+    std::vector<int> order;
+    int next = 0;
+    const auto push = [&](Tick when) {
+        const int id = next++;
+        q.schedule(when, [&order, id](Tick) { order.push_back(id); });
+    };
+    push(6); // fires last, from the first slot
+    push(5);
+    push(5);
+    for (int round = 0; round < 20; ++round) {
+        q.runOne();
+        push(5);
+        push(5);
+    }
+    q.runAll();
+    std::vector<int> expected;
+    for (int id = 1; id < next; ++id)
+        expected.push_back(id);
+    expected.push_back(0);
+    EXPECT_EQ(order, expected);
 }
 
 /** Agent that advances its clock by a fixed stride per step. */
