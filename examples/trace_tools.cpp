@@ -11,7 +11,8 @@
  *   trace_tools replay <trace.trc> <org> [accessesPerCore]
  *       Run a simulation where every core replays the trace
  *       (rate mode, staggered start offsets per core). Traces are
- *       mmap'd, so replay is zero-copy.
+ *       mmap'd, so replay is zero-copy. <org> is any of the ten
+ *       organization names, case-insensitive (cameo-sim --list-orgs).
  *
  * Both formats are documented in src/trace/trace_file.hh; external
  * tracers (Pin, DynamoRIO, gem5 probes) can emit the raw one
@@ -20,6 +21,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -58,7 +60,7 @@ cmdRecord(int argc, char **argv)
         if (name == "raw")
             format = TraceFormat::Raw;
         else if (name != "packed") {
-            std::cerr << "unknown format '" << name
+            std::cerr << "error: unknown format '" << name
                       << "' (raw|packed)\n";
             return EXIT_FAILURE;
         }
@@ -70,7 +72,7 @@ cmdRecord(int argc, char **argv)
     const std::uint64_t written =
         recordTrace(gen, argv[3], count, format);
     if (written == 0) {
-        std::cerr << "failed to write " << argv[3] << "\n";
+        std::cerr << "error: failed to write " << argv[3] << "\n";
         return EXIT_FAILURE;
     }
     std::cout << "wrote " << written << " records to " << argv[3]
@@ -114,22 +116,6 @@ cmdInfo(int argc, char **argv)
     return EXIT_SUCCESS;
 }
 
-OrgKind
-parseOrg(const std::string &s)
-{
-    if (s == "baseline")
-        return OrgKind::Baseline;
-    if (s == "cache")
-        return OrgKind::AlloyCache;
-    if (s == "tlm-static")
-        return OrgKind::TlmStatic;
-    if (s == "tlm-dynamic")
-        return OrgKind::TlmDynamic;
-    if (s == "doubleuse")
-        return OrgKind::DoubleUse;
-    return OrgKind::Cameo;
-}
-
 int
 cmdReplay(int argc, char **argv)
 {
@@ -139,6 +125,15 @@ cmdReplay(int argc, char **argv)
         return EXIT_FAILURE;
     }
     const std::string path = argv[2];
+    const std::optional<OrgKind> kind = orgKindFromName(argv[3]);
+    if (!kind) {
+        std::cerr << "error: unknown organization '" << argv[3]
+                  << "'; valid names:";
+        for (const OrgKind k : allOrgKinds())
+            std::cerr << ' ' << orgKindName(k);
+        std::cerr << "\n";
+        return EXIT_FAILURE;
+    }
     SystemConfig config = defaultConfig();
     if (argc > 4 && parseUintStrict(argv[4], config.accessesPerCore) !=
                     ParseUintStatus::Ok) {
@@ -166,7 +161,7 @@ cmdReplay(int argc, char **argv)
     const WorkloadProfile *profile = findWorkload("milc");
     const RunResult base =
         runWorkload(config, OrgKind::Baseline, *profile);
-    const RunResult r = runWorkload(config, parseOrg(argv[3]), *profile);
+    const RunResult r = runWorkload(config, *kind, *profile);
     std::cout << "replayed " << path << " on " << r.orgName
               << ": execTime=" << r.execTime << " cycles, speedup vs "
               << "baseline=" << static_cast<double>(base.execTime) /

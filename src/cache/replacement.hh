@@ -1,11 +1,14 @@
 /**
  * @file
- * Replacement policies for the set-associative cache model.
+ * Replacement policies for the set-associative cache model, and the
+ * reference model of its victim choice.
  *
- * The paper's L3 is plain LRU; Random is provided for sensitivity tests
- * and as a second implementation to exercise the policy interface.
- * Policies operate on way indices within one set and are stateless
- * across sets except for the per-way metadata the cache hands them.
+ * The paper's L3 is plain LRU; Random is provided for sensitivity tests.
+ * chooseVictim() states the decision procedure plainly, scanning every
+ * way of one set: SetAssocCache reaches the same victims in O(1) per
+ * access through its fingerprint and recency-list index (DESIGN.md §8),
+ * and tests/test_cache.cc drives a tag array built on chooseVictim()
+ * side by side with the cache as its reference model.
  */
 
 #ifndef CAMEO_CACHE_REPLACEMENT_HH

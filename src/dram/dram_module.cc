@@ -180,8 +180,13 @@ DramModule::setTimingMode(TimingMode mode, const DramQueueConfig &queues)
     mode_ = mode;
     queueCfg_ = queues;
     queued_.clear();
-    if (mode_ == TimingMode::Queued)
+    if (mode_ == TimingMode::Queued) {
         queued_.resize(channels_.size());
+        for (QueuedChannel &qc : queued_) {
+            qc.inServiceReads.allocate(queueCfg_.readWindow);
+            qc.writeQueue.reserve(queueCfg_.drainHighWatermark);
+        }
+    }
 }
 
 Tick
@@ -382,8 +387,8 @@ DramModule::save(SnapshotWriter &w) const
     if (mode_ == TimingMode::Queued) {
         for (const QueuedChannel &qc : queued_) {
             w.u64(qc.inServiceReads.size());
-            for (Tick t : qc.inServiceReads)
-                w.u64(t);
+            for (std::size_t i = 0; i < qc.inServiceReads.size(); ++i)
+                w.u64(qc.inServiceReads[i]);
             w.u64(qc.writeQueue.size());
             for (const QueuedWrite &qw : qc.writeQueue) {
                 w.u64(qw.line);

@@ -27,7 +27,8 @@
 #ifndef CAMEO_DRAM_DRAM_MODULE_HH
 #define CAMEO_DRAM_DRAM_MODULE_HH
 
-#include <deque>
+#include <cassert>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -193,12 +194,69 @@ class DramModule
         std::uint32_t burstBytes;
     };
 
+    /**
+     * FIFO of completion ticks in a fixed ring of slots, sized once by
+     * allocate(): the in-service read window never holds more than
+     * readWindow reads, so its churn never touches the heap.
+     */
+    class TickRing
+    {
+      public:
+        /** Drop every tick and make room for @p capacity of them. */
+        void allocate(std::size_t capacity)
+        {
+            slots_.assign(capacity, 0);
+            head_ = 0;
+            size_ = 0;
+        }
+
+        bool empty() const { return size_ == 0; }
+        std::size_t size() const { return size_; }
+        Tick front() const { return slots_[head_]; }
+        Tick back() const { return (*this)[size_ - 1]; }
+
+        /** The @p i-th oldest tick. */
+        Tick operator[](std::size_t i) const
+        {
+            const std::size_t slot = head_ + i;
+            return slots_[slot < slots_.size() ? slot
+                                               : slot - slots_.size()];
+        }
+
+        /** Append @p t; the ring must not be full. */
+        void push_back(Tick t)
+        {
+            assert(size_ < slots_.size());
+            const std::size_t slot = head_ + size_;
+            slots_[slot < slots_.size() ? slot : slot - slots_.size()] = t;
+            ++size_;
+        }
+
+        void pop_front()
+        {
+            assert(size_ != 0);
+            head_ = head_ + 1 == slots_.size() ? 0 : head_ + 1;
+            --size_;
+        }
+
+        void clear()
+        {
+            head_ = 0;
+            size_ = 0;
+        }
+
+      private:
+        std::vector<Tick> slots_;
+        std::size_t head_ = 0; ///< Slot of the oldest tick.
+        std::size_t size_ = 0;
+    };
+
     /** Queued-mode controller state of one channel. */
     struct QueuedChannel
     {
         /** Completion ticks of in-service reads (bus-serialized, so
          *  nondecreasing; the front is the oldest). */
-        std::deque<Tick> inServiceReads;
+        TickRing inServiceReads;
 
         /** Posted writes awaiting an FR-FCFS drain. */
         std::vector<QueuedWrite> writeQueue;

@@ -13,8 +13,11 @@
  * counts allocations over many submit+complete cycles, after a warm-up
  * that lets every slab, heap and hash table reach its working size.
  *
- * The remaining allocations are DramModule's std::deque block churn,
- * about one per 64 device reads.
+ * DramModule's per-channel queues are sized up front (a fixed ring of
+ * readWindow in-service reads, a write buffer reserved to the drain
+ * high watermark), so steady state allocates nothing; the bound
+ * tolerates a rare late growth of a container that warm-up left short
+ * of its working size.
  */
 
 #include <gtest/gtest.h>
@@ -257,12 +260,12 @@ allocationsPerCompletion(OrgKind kind)
 
 TEST(AllocationGateTest, BaselineQueuedCompletionsDoNotAllocate)
 {
-    EXPECT_LT(allocationsPerCompletion(OrgKind::Baseline), 0.05);
+    EXPECT_LT(allocationsPerCompletion(OrgKind::Baseline), 0.001);
 }
 
 TEST(AllocationGateTest, CameoQueuedCompletionsDoNotAllocate)
 {
-    EXPECT_LT(allocationsPerCompletion(OrgKind::Cameo), 0.05);
+    EXPECT_LT(allocationsPerCompletion(OrgKind::Cameo), 0.001);
 }
 
 } // namespace
