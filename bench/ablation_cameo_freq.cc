@@ -20,23 +20,29 @@ main()
 
     const SystemConfig config = benchConfig();
     const std::vector<DesignPoint> points{
-        point("CAMEO", OrgKind::Cameo, config),
-        point("CAMEO-Freq", OrgKind::CameoFreq, config),
+        {"Baseline", OrgKind::Baseline, config},
+        {"CAMEO", OrgKind::Cameo, config},
+        {"CAMEO-Freq", OrgKind::CameoFreq, config},
     };
+    const std::vector<MatrixColumn> columns{{"CAMEO", "CAMEO"},
+                                            {"CAMEO-Freq", "CAMEO-Freq"}};
     const auto workloads = benchWorkloads();
 
     std::cout << "Ablation: frequency-directed swap admission "
                  "(Section VI-D extension)\n";
-    const auto rows = runComparison(config, points, workloads, &std::cout);
-    printSpeedupTable("CAMEO vs CAMEO-Freq", points, rows, std::cout);
+    const ResultMatrix matrix = runBenchMatrix(points, workloads);
+    printSpeedupTable("CAMEO vs CAMEO-Freq", matrix, "Baseline", columns,
+                      std::cout);
 
     std::cout << "\nOff-chip write traffic saved by the filter:\n";
-    for (const auto &row : rows) {
+    const std::size_t cameo = matrix.pointIndex("CAMEO");
+    const std::size_t cameo_freq = matrix.pointIndex("CAMEO-Freq");
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
         const double stock =
-            static_cast<double>(row.runs[0].offchipBytes);
+            static_cast<double>(matrix.at(cameo, w).offchipBytes);
         const double freq =
-            static_cast<double>(row.runs[1].offchipBytes);
-        std::cout << "  " << row.workload.name << ": "
+            static_cast<double>(matrix.at(cameo_freq, w).offchipBytes);
+        std::cout << "  " << workloads[w].name << ": "
                   << TextTable::cell(100.0 * (1.0 - freq / stock), 1)
                   << "% fewer off-chip bytes\n";
     }

@@ -32,53 +32,38 @@ main()
     table.setHeader({"Stacked", "K", "Gmean CAMEO", "Gmean Cache",
                      "Mean stacked-svc%"});
 
-    // Flatten (fraction x workload x {baseline, cameo, cache}) into one
-    // sweep; slot arithmetic below mirrors this enumeration order.
+    // Each fraction is its own machine, Baseline included: it changes
+    // the off-chip capacity every organization sees.
     const std::vector<std::uint64_t> fracs{8, 4, 2};
-    std::vector<SweepJob> jobs;
-    jobs.reserve(fracs.size() * workloads.size() * 3);
+    const std::vector<std::pair<std::string, OrgKind>> orgs{
+        {"Baseline", OrgKind::Baseline},
+        {"CAMEO", OrgKind::Cameo},
+        {"Cache", OrgKind::AlloyCache},
+    };
+    std::vector<DesignPoint> points;
     for (const std::uint64_t frac : fracs) {
         SystemConfig config = base;
         config.stackedBytes = total / frac;
         config.offchipBytes = total - config.stackedBytes;
-        for (const auto &wl : workloads) {
-            const std::string prefix =
-                "1/" + std::to_string(frac) + " " + wl.name;
-            jobs.push_back({prefix + "/baseline", [config, wl] {
-                                return runWorkload(
-                                    config, OrgKind::Baseline, wl);
-                            }});
-            jobs.push_back({prefix + "/CAMEO", [config, wl] {
-                                return runWorkload(config, OrgKind::Cameo,
-                                                   wl);
-                            }});
-            jobs.push_back({prefix + "/Cache", [config, wl] {
-                                return runWorkload(
-                                    config, OrgKind::AlloyCache, wl);
-                            }});
+        for (const auto &[label, kind] : orgs) {
+            points.push_back(
+                {"1/" + std::to_string(frac) + " " + label, kind, config});
         }
     }
-    const std::vector<RunResult> results = runSweep(std::move(jobs));
+    const ResultMatrix matrix = runBenchMatrix(points, workloads);
 
-    for (std::size_t f = 0; f < fracs.size(); ++f) {
-        std::vector<double> cameo_s, cache_s, svc;
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            const std::size_t slot = (f * workloads.size() + w) * 3;
-            const RunResult &b = results[slot];
-            const RunResult &r = results[slot + 1];
-            const RunResult &c = results[slot + 2];
-            cameo_s.push_back(
-                speedup(static_cast<double>(b.execTime),
-                        static_cast<double>(r.execTime)));
-            cache_s.push_back(
-                speedup(static_cast<double>(b.execTime),
-                        static_cast<double>(c.execTime)));
-            svc.push_back(100.0 * r.stackedServiceFraction());
-        }
-        table.addRow({"1/" + std::to_string(fracs[f]),
-                      TextTable::cell(std::uint64_t{fracs[f]}),
-                      TextTable::cell(geometricMean(cameo_s)),
-                      TextTable::cell(geometricMean(cache_s)),
+    for (const std::uint64_t frac : fracs) {
+        const std::string prefix = "1/" + std::to_string(frac) + " ";
+        const std::size_t b = matrix.pointIndex(prefix + "Baseline");
+        const std::size_t r = matrix.pointIndex(prefix + "CAMEO");
+        const std::size_t c = matrix.pointIndex(prefix + "Cache");
+        std::vector<double> svc;
+        for (std::size_t w = 0; w < workloads.size(); ++w)
+            svc.push_back(100.0 * matrix.at(r, w).stackedServiceFraction());
+        table.addRow({"1/" + std::to_string(frac),
+                      TextTable::cell(std::uint64_t{frac}),
+                      TextTable::cell(gmeanSpeedup(matrix, b, r)),
+                      TextTable::cell(gmeanSpeedup(matrix, b, c)),
                       TextTable::cell(arithmeticMean(svc), 1)});
     }
     table.print(std::cout);

@@ -31,42 +31,27 @@ main()
     table.setHeader({"Entries/core", "Storage/core", "Gmean speedup",
                      "Mean accuracy%"});
 
-    // Flatten (entries x workload x {baseline, cameo}) into one sweep.
+    // One Baseline serves every size: only CAMEO reads the LLP table.
     const std::vector<std::uint32_t> sizes{1, 16, 64, 256, 1024, 4096};
-    std::vector<SweepJob> jobs;
-    jobs.reserve(sizes.size() * workloads.size() * 2);
+    std::vector<DesignPoint> points{{"Baseline", OrgKind::Baseline, base}};
     for (const std::uint32_t entries : sizes) {
         SystemConfig config = base;
         config.llpTableEntries = entries;
-        for (const auto &wl : workloads) {
-            const std::string prefix =
-                std::to_string(entries) + "/" + wl.name;
-            jobs.push_back({prefix + "/baseline", [config, wl] {
-                                return runWorkload(
-                                    config, OrgKind::Baseline, wl);
-                            }});
-            jobs.push_back({prefix + "/CAMEO", [config, wl] {
-                                return runWorkload(config, OrgKind::Cameo,
-                                                   wl);
-                            }});
-        }
+        points.push_back(
+            {"CAMEO/" + std::to_string(entries), OrgKind::Cameo, config});
     }
-    const std::vector<RunResult> results = runSweep(std::move(jobs));
+    const ResultMatrix matrix = runBenchMatrix(points, workloads);
 
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-        std::vector<double> speedups, accuracies;
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            const std::size_t slot = (s * workloads.size() + w) * 2;
-            const RunResult &b = results[slot];
-            const RunResult &r = results[slot + 1];
-            speedups.push_back(
-                speedup(static_cast<double>(b.execTime),
-                        static_cast<double>(r.execTime)));
-            accuracies.push_back(100.0 * r.llpAccuracy);
-        }
-        table.addRow({TextTable::cell(std::uint64_t{sizes[s]}),
-                      std::to_string(sizes[s] * 2 / 8) + " B",
-                      TextTable::cell(geometricMean(speedups)),
+    const std::size_t baseline = matrix.pointIndex("Baseline");
+    for (const std::uint32_t entries : sizes) {
+        const std::size_t p =
+            matrix.pointIndex("CAMEO/" + std::to_string(entries));
+        std::vector<double> accuracies;
+        for (std::size_t w = 0; w < workloads.size(); ++w)
+            accuracies.push_back(100.0 * matrix.at(p, w).llpAccuracy);
+        table.addRow({TextTable::cell(std::uint64_t{entries}),
+                      std::to_string(entries * 2 / 8) + " B",
+                      TextTable::cell(gmeanSpeedup(matrix, baseline, p)),
                       TextTable::cell(arithmeticMean(accuracies), 1)});
     }
     table.print(std::cout);

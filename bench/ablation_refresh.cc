@@ -25,10 +25,17 @@ main()
     refreshed.stacked.tRfc = 560;
 
     const std::vector<DesignPoint> points{
-        point("Cache", OrgKind::AlloyCache, plain),
-        point("Cache+refresh", OrgKind::AlloyCache, refreshed),
-        point("CAMEO", OrgKind::Cameo, plain),
-        point("CAMEO+refresh", OrgKind::Cameo, refreshed),
+        {"Baseline", OrgKind::Baseline, plain},
+        {"Cache", OrgKind::AlloyCache, plain},
+        {"Cache+refresh", OrgKind::AlloyCache, refreshed},
+        {"CAMEO", OrgKind::Cameo, plain},
+        {"CAMEO+refresh", OrgKind::Cameo, refreshed},
+    };
+    const std::vector<MatrixColumn> columns{
+        {"Cache", "Cache"},
+        {"Cache+refresh", "Cache+refresh"},
+        {"CAMEO", "CAMEO"},
+        {"CAMEO+refresh", "CAMEO+refresh"},
     };
     const auto workloads = benchWorkloads();
 
@@ -36,7 +43,8 @@ main()
               << "(baseline runs without refresh in both columns, so "
                  "the +refresh columns show the design under refresh "
                  "against the same reference)\n";
-    const auto rows = runComparison(plain, points, workloads, &std::cout);
-    printSpeedupTable("Refresh ablation", points, rows, std::cout);
+    const ResultMatrix matrix = runBenchMatrix(points, workloads);
+    printSpeedupTable("Refresh ablation", matrix, "Baseline", columns,
+                      std::cout);
     return 0;
 }

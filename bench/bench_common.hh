@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared helpers for the figure/table bench binaries.
+ * Shared helpers for the bench binaries.
  *
- * Every bench regenerates one artifact of the paper's evaluation on
- * the scaled default configuration. Trace length can be overridden
- * with the CAMEO_BENCH_ACCESSES environment variable (accesses per
+ * Every bench runs on the scaled default configuration: paper_figures
+ * regenerates the paper's evaluation, the others its ablations and
+ * extensions. Trace length can be overridden with the
+ * CAMEO_BENCH_ACCESSES environment variable (accesses per
  * core), a warmup prefix added with CAMEO_BENCH_WARMUP (accesses per
  * core, replayed at functional fidelity before the measured region —
  * DESIGN.md §13), and the workload set narrowed with
@@ -23,13 +24,14 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "exp/experiment.hh"
 #include "exp/sweep.hh"
 #include "system/config.hh"
-#include "exp/experiment.hh"
 #include "trace/workloads.hh"
 #include "util/env.hh"
 
@@ -83,17 +85,25 @@ benchWorkloads()
     return out;
 }
 
-/** Design point with the shared bench config. */
-inline DesignPoint
-point(std::string label, OrgKind kind, const SystemConfig &config)
+/**
+ * Run every design point over every workload with progress on stdout.
+ * Benches read the results by point and workload (ResultMatrix).
+ */
+inline ResultMatrix
+runBenchMatrix(std::span<const DesignPoint> points,
+               std::span<const WorkloadProfile> workloads)
 {
-    return DesignPoint{std::move(label), kind, config};
+    ProgressReporter progress(&std::cout);
+    SweepOptions options;
+    options.progress = &progress;
+    return runMatrix(points, workloads, options);
 }
 
 /**
- * Run a flat job list on the sweep engine with progress on stdout.
- * Results come back in submission order, so benches can index them by
- * the same arithmetic they used to enumerate the jobs.
+ * Run a flat job list on the sweep engine with progress on stdout, for
+ * the benches whose jobs are not one point on one workload: mix_study
+ * runs mixes, and perf_queue reads each System's stats registry.
+ * Results come back in submission order.
  */
 inline std::vector<RunResult>
 runSweep(std::vector<SweepJob> jobs)

@@ -83,11 +83,11 @@ main()
         out_env != nullptr ? out_env : "BENCH_banshee.json";
 
     const std::vector<WorkloadProfile> workloads = benchWorkloads();
-    const std::vector<std::pair<std::string, OrgKind>> orgs{
-        {"Cache", OrgKind::AlloyCache},
-        {"TLM-Dynamic", OrgKind::TlmDynamic},
-        {"CAMEO", OrgKind::Cameo},
-        {"Banshee", OrgKind::Banshee},
+    const std::vector<DesignPoint> orgs{
+        {"Cache", OrgKind::AlloyCache, config},
+        {"TLM-Dynamic", OrgKind::TlmDynamic, config},
+        {"CAMEO", OrgKind::Cameo, config},
+        {"Banshee", OrgKind::Banshee, config},
     };
 
     std::cout << "Banshee replacement traffic: Queued-mode bus bytes "
@@ -97,19 +97,10 @@ main()
               << config.bansheeSampleRate << ", hot threshold "
               << config.bansheeHotThreshold << ")\n\n";
 
-    std::vector<SweepJob> jobs;
-    for (const WorkloadProfile &wl : workloads) {
-        for (const auto &org : orgs) {
-            jobs.push_back({wl.name + "/" + org.first,
-                            [&config, kind = org.second, &wl] {
-                                return runWorkload(config, kind, wl);
-                            }});
-        }
-    }
-    const std::vector<RunResult> runs = runSweep(std::move(jobs));
+    const ResultMatrix matrix = runBenchMatrix(orgs, workloads);
 
     std::vector<TrafficResult> results;
-    results.reserve(runs.size());
+    results.reserve(matrix.runs.size());
     TextTable table("Queued bus traffic (bytes/access; swaps and page "
                     "migrations are replacement events)");
     table.setHeader({"Workload", "Org", "Stacked-B", "Offchip-B",
@@ -117,10 +108,10 @@ main()
     std::vector<std::uint64_t> org_bytes(orgs.size(), 0);
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         for (std::size_t o = 0; o < orgs.size(); ++o) {
-            const RunResult &r = runs[w * orgs.size() + o];
+            const RunResult &r = matrix.at(o, w);
             TrafficResult res;
             res.workload = workloads[w].name;
-            res.org = orgs[o].first;
+            res.org = orgs[o].label;
             res.execTime = r.execTime;
             res.accesses = r.accesses;
             res.stackedBytes = r.stackedBytes;
@@ -141,8 +132,8 @@ main()
 
     std::cout << "\nTotal bus bytes across the workload set:\n";
     for (std::size_t o = 0; o < orgs.size(); ++o) {
-        std::cout << "  " << orgs[o].first << ": " << org_bytes[o];
-        if (orgs[o].first != "Banshee" && org_bytes[o] > 0) {
+        std::cout << "  " << orgs[o].label << ": " << org_bytes[o];
+        if (orgs[o].label != "Banshee" && org_bytes[o] > 0) {
             std::cout << "  (Banshee = "
                       << TextTable::cell(
                              100.0 *
@@ -194,7 +185,7 @@ main()
     out << "  ],\n"
         << "  \"total_bytes\": {";
     for (std::size_t o = 0; o < orgs.size(); ++o) {
-        out << "\"" << orgs[o].first << "\": " << org_bytes[o]
+        out << "\"" << orgs[o].label << "\": " << org_bytes[o]
             << (o + 1 < orgs.size() ? ", " : "");
     }
     out << "}\n}\n";

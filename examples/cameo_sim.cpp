@@ -119,7 +119,8 @@ main(int argc, char **argv)
     const std::string org_name = cli.getString("org", "cameo");
     const std::optional<OrgKind> parsed = orgKindFromName(org_name);
     if (!parsed) {
-        std::cerr << "unknown --org \"" << org_name << "\"; valid names:";
+        std::cerr << "error: unknown --org \"" << org_name
+                  << "\"; valid names:";
         for (const OrgKind k : allOrgKinds())
             std::cerr << ' ' << orgKindName(k);
         std::cerr << " (see --list-orgs)\n";
@@ -129,7 +130,7 @@ main(int argc, char **argv)
     const WorkloadProfile *profile =
         findWorkload(cli.getString("workload", "milc"));
     if (profile == nullptr) {
-        std::cerr << "unknown --workload (try --list)\n";
+        std::cerr << "error: unknown --workload (try --list)\n";
         return EXIT_FAILURE;
     }
 
@@ -154,7 +155,7 @@ main(int argc, char **argv)
     else if (llt == "colocated")
         config.lltKind = LltKind::CoLocated;
     else {
-        std::cerr << "unknown --llt\n";
+        std::cerr << "error: unknown --llt\n";
         return EXIT_FAILURE;
     }
 
@@ -166,7 +167,7 @@ main(int argc, char **argv)
     else if (pred == "perfect")
         config.predictorKind = PredictorKind::Perfect;
     else {
-        std::cerr << "unknown --predictor\n";
+        std::cerr << "error: unknown --predictor\n";
         return EXIT_FAILURE;
     }
 
@@ -176,7 +177,7 @@ main(int argc, char **argv)
     else if (timing == "queued")
         config.timingMode = TimingMode::Queued;
     else {
-        std::cerr << "unknown --timing (blocking|queued)\n";
+        std::cerr << "error: unknown --timing (blocking|queued)\n";
         return EXIT_FAILURE;
     }
 

@@ -1,125 +1,164 @@
 #include "exp/experiment.hh"
 
 #include <cassert>
-#include <fstream>
+#include <stdexcept>
 
-#include "exp/sweep.hh"
 #include "stats/table.hh"
 #include "util/math.hh"
 
 namespace cameo
 {
 
-double
-SpeedupRow::speedupOf(std::size_t i) const
+std::size_t
+ResultMatrix::pointIndex(std::string_view label) const
 {
-    assert(i < runs.size());
-    return speedup(static_cast<double>(baseline.execTime),
-                   static_cast<double>(runs[i].execTime));
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        if (points[p].label == label)
+            return p;
+    }
+    throw std::out_of_range("no design point labelled '" +
+                            std::string(label) + "'");
 }
 
-std::vector<SpeedupRow>
-runComparison(const SystemConfig &base_config,
-              std::span<const DesignPoint> points,
-              std::span<const WorkloadProfile> workloads,
-              std::ostream *progress)
+const RunResult &
+ResultMatrix::at(std::size_t point, std::size_t workload) const
 {
-    ProgressReporter reporter(progress);
-    SweepOptions options;
-    options.progress = progress != nullptr ? &reporter : nullptr;
-    return runComparison(base_config, points, workloads, options);
+    assert(point < points.size() && workload < workloads.size());
+    return runs[workload * points.size() + point];
 }
 
 double
-gmeanSpeedup(std::span<const SpeedupRow> rows, std::size_t i)
+ResultMatrix::speedup(std::size_t baseline, std::size_t point,
+                      std::size_t workload) const
+{
+    return cameo::speedup(
+        static_cast<double>(at(baseline, workload).execTime),
+        static_cast<double>(at(point, workload).execTime));
+}
+
+ResultMatrix
+runMatrix(std::span<const DesignPoint> points,
+          std::span<const WorkloadProfile> workloads,
+          const SweepOptions &options)
+{
+    ResultMatrix matrix;
+    matrix.points.assign(points.begin(), points.end());
+    matrix.workloads.assign(workloads.begin(), workloads.end());
+
+    // Submitted in storage order, so the results need no reassembly.
+    std::vector<SweepJob> jobs;
+    jobs.reserve(workloads.size() * points.size());
+    for (const WorkloadProfile &wl : matrix.workloads) {
+        for (const DesignPoint &point : matrix.points) {
+            jobs.push_back({wl.name + "/" + point.label, [&point, &wl] {
+                                return runWorkload(point.config,
+                                                   point.kind, wl);
+                            }});
+        }
+    }
+    matrix.runs = SweepRunner(options).run(std::move(jobs));
+    return matrix;
+}
+
+double
+gmeanSpeedup(const ResultMatrix &matrix, std::size_t baseline,
+             std::size_t point)
 {
     std::vector<double> values;
-    values.reserve(rows.size());
-    for (const SpeedupRow &row : rows)
-        values.push_back(row.speedupOf(i));
+    values.reserve(matrix.workloads.size());
+    for (std::size_t w = 0; w < matrix.workloads.size(); ++w)
+        values.push_back(matrix.speedup(baseline, point, w));
     return geometricMean(values);
 }
 
 double
-gmeanSpeedup(std::span<const SpeedupRow> rows, std::size_t i,
-             WorkloadCategory category)
+gmeanSpeedup(const ResultMatrix &matrix, std::size_t baseline,
+             std::size_t point, WorkloadCategory category)
 {
     std::vector<double> values;
-    for (const SpeedupRow &row : rows) {
-        if (row.workload.category == category)
-            values.push_back(row.speedupOf(i));
+    for (std::size_t w = 0; w < matrix.workloads.size(); ++w) {
+        if (matrix.workloads[w].category == category)
+            values.push_back(matrix.speedup(baseline, point, w));
     }
     return geometricMean(values);
 }
 
 void
-printSpeedupTable(const std::string &title,
-                  std::span<const DesignPoint> points,
-                  std::span<const SpeedupRow> rows, std::ostream &os)
+printSpeedupTable(const std::string &title, const ResultMatrix &matrix,
+                  std::string_view baseline,
+                  std::span<const MatrixColumn> columns, std::ostream &os)
 {
+    const std::size_t base = matrix.pointIndex(baseline);
+    std::vector<std::size_t> shown;
     TextTable table(title);
     std::vector<std::string> header{"Workload", "Category"};
-    for (const DesignPoint &point : points)
-        header.push_back(point.label);
+    for (const MatrixColumn &column : columns) {
+        header.push_back(column.heading);
+        shown.push_back(matrix.pointIndex(column.point));
+    }
     table.setHeader(std::move(header));
 
-    for (const SpeedupRow &row : rows) {
-        std::vector<std::string> cells{row.workload.name,
-                                       categoryName(row.workload.category)};
-        for (std::size_t i = 0; i < points.size(); ++i)
-            cells.push_back(TextTable::cell(row.speedupOf(i)));
+    for (std::size_t w = 0; w < matrix.workloads.size(); ++w) {
+        const WorkloadProfile &wl = matrix.workloads[w];
+        std::vector<std::string> cells{wl.name, categoryName(wl.category)};
+        for (const std::size_t p : shown)
+            cells.push_back(TextTable::cell(matrix.speedup(base, p, w)));
         table.addRow(std::move(cells));
     }
 
     const auto add_gmean_row = [&](const std::string &name, auto getter) {
         std::vector<std::string> cells{name, ""};
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const double g = getter(i);
+        for (const std::size_t p : shown) {
+            const double g = getter(p);
             cells.push_back(g > 0.0 ? TextTable::cell(g) : "n/a");
         }
         table.addRow(std::move(cells));
     };
-    add_gmean_row("Gmean-Capacity", [&](std::size_t i) {
-        return gmeanSpeedup(rows, i, WorkloadCategory::CapacityLimited);
+    add_gmean_row("Gmean-Capacity", [&](std::size_t p) {
+        return gmeanSpeedup(matrix, base, p,
+                            WorkloadCategory::CapacityLimited);
     });
-    add_gmean_row("Gmean-Latency", [&](std::size_t i) {
-        return gmeanSpeedup(rows, i, WorkloadCategory::LatencyLimited);
+    add_gmean_row("Gmean-Latency", [&](std::size_t p) {
+        return gmeanSpeedup(matrix, base, p,
+                            WorkloadCategory::LatencyLimited);
     });
-    add_gmean_row("Gmean-ALL",
-                  [&](std::size_t i) { return gmeanSpeedup(rows, i); });
+    add_gmean_row("Gmean-ALL", [&](std::size_t p) {
+        return gmeanSpeedup(matrix, base, p);
+    });
 
     table.print(os);
 }
 
 bool
-writeSpeedupCsv(std::span<const DesignPoint> points,
-                std::span<const SpeedupRow> rows, const std::string &path)
+writeSpeedupCsv(std::ostream &out, const ResultMatrix &matrix,
+                std::string_view baseline,
+                std::span<const MatrixColumn> columns)
 {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
-
+    const std::size_t base = matrix.pointIndex(baseline);
+    std::vector<std::size_t> shown;
     out << "workload,category,baseline_exec";
-    for (const DesignPoint &p : points) {
-        out << "," << p.label << "_exec," << p.label << "_speedup,"
-            << p.label << "_stackedBytes," << p.label << "_offchipBytes,"
-            << p.label << "_storageBytes";
+    for (const MatrixColumn &column : columns) {
+        const std::string &h = column.heading;
+        out << "," << h << "_exec," << h << "_speedup," << h
+            << "_stackedBytes," << h << "_offchipBytes," << h
+            << "_storageBytes";
+        shown.push_back(matrix.pointIndex(column.point));
     }
     out << "\n";
 
-    for (const SpeedupRow &row : rows) {
-        out << row.workload.name << ","
-            << categoryName(row.workload.category) << ","
-            << row.baseline.execTime;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const RunResult &r = row.runs[i];
-            out << "," << r.execTime << "," << row.speedupOf(i) << ","
-                << r.stackedBytes << "," << r.offchipBytes << ","
+    for (std::size_t w = 0; w < matrix.workloads.size(); ++w) {
+        const WorkloadProfile &wl = matrix.workloads[w];
+        out << wl.name << "," << categoryName(wl.category) << ","
+            << matrix.at(base, w).execTime;
+        for (const std::size_t p : shown) {
+            const RunResult &r = matrix.at(p, w);
+            out << "," << r.execTime << "," << matrix.speedup(base, p, w)
+                << "," << r.stackedBytes << "," << r.offchipBytes << ","
                 << r.storageBytes;
         }
         out << "\n";
     }
-    out.close();
+    out.flush();
     return !out.fail();
 }
 

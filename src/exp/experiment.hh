@@ -1,25 +1,30 @@
 /**
  * @file
- * Experiment harness shared by the bench binaries: run a set of design
- * points against a set of workloads (plus the baseline), compute
- * speedups, and print paper-style tables with per-category and overall
- * geometric means.
+ * The result matrix: run every (design point x workload) pair once on
+ * the parallel sweep engine, then read speedups, geometric means,
+ * paper-style tables and CSV from the results. The baseline is an
+ * ordinary design point; each reader names the point it normalizes
+ * to. exp/paper.hh declares the paper's design points and prints its
+ * figures and tables from one matrix.
  */
 
 #ifndef CAMEO_EXP_EXPERIMENT_HH
 #define CAMEO_EXP_EXPERIMENT_HH
 
+#include <cstddef>
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "exp/sweep.hh"
 #include "system/system.hh"
 
 namespace cameo
 {
 
-/** One column of a comparison: an organization plus its config. */
+/** One design point of a matrix: an organization plus its config. */
 struct DesignPoint
 {
     std::string label;
@@ -27,59 +32,69 @@ struct DesignPoint
     SystemConfig config;
 };
 
-/** One workload's results across all design points. */
-struct SpeedupRow
+/** One printed column: its heading and the label of the point shown. */
+struct MatrixColumn
 {
-    WorkloadProfile workload;
-    RunResult baseline;
-    std::vector<RunResult> runs; ///< Parallel to the design points.
+    std::string heading;
+    std::string point;
+};
 
-    /** Speedup of design point @p i versus the baseline. */
-    double speedupOf(std::size_t i) const;
+/** Every design point run over every workload, once each. */
+struct ResultMatrix
+{
+    std::vector<DesignPoint> points;
+    std::vector<WorkloadProfile> workloads;
+    /** Workload-major: the run of point p on workload w is
+     *  runs[w * points.size() + p]. */
+    std::vector<RunResult> runs;
+
+    /** Index of the point labelled @p label; throws std::out_of_range
+     *  when no point has that label. */
+    std::size_t pointIndex(std::string_view label) const;
+
+    /** The run of point @p point on workload @p workload. */
+    const RunResult &at(std::size_t point, std::size_t workload) const;
+
+    /** Speedup of @p point over @p baseline on @p workload. */
+    double speedup(std::size_t baseline, std::size_t point,
+                   std::size_t workload) const;
 };
 
 /**
- * Run the baseline plus every design point over every workload.
- *
- * Executes on the parallel sweep engine (exp/sweep.hh) with the
- * default worker count (CAMEO_BENCH_JOBS, else hardware concurrency);
- * results are bit-identical to a serial run for any worker count. Use
- * the SweepOptions overload in exp/sweep.hh to control workers or
- * progress directly.
- *
- * @param base_config Config used for the shared baseline runs.
- * @param points      Design points (columns).
- * @param workloads   Workloads (rows).
- * @param progress    Optional stream for per-run progress lines.
+ * Run every point over every workload on the sweep engine. Results are
+ * bit-identical for any worker count or submission shuffle; progress
+ * labels read "<workload>/<point>".
  */
-std::vector<SpeedupRow>
-runComparison(const SystemConfig &base_config,
-              std::span<const DesignPoint> points,
-              std::span<const WorkloadProfile> workloads,
-              std::ostream *progress = nullptr);
+ResultMatrix runMatrix(std::span<const DesignPoint> points,
+                       std::span<const WorkloadProfile> workloads,
+                       const SweepOptions &options);
+
+/** Geometric-mean speedup of @p point over @p baseline across every
+ *  workload, optionally restricted to one category (0 when the
+ *  category has no workloads). */
+double gmeanSpeedup(const ResultMatrix &matrix, std::size_t baseline,
+                    std::size_t point);
+double gmeanSpeedup(const ResultMatrix &matrix, std::size_t baseline,
+                    std::size_t point, WorkloadCategory category);
 
 /**
- * Print a Figure 13-style speedup table: one row per workload, then
- * Gmean rows for each category and overall.
+ * Print a Figure 13-style speedup table over @p baseline: one row per
+ * workload, then Gmean rows for each category and overall.
  */
 void printSpeedupTable(const std::string &title,
-                       std::span<const DesignPoint> points,
-                       std::span<const SpeedupRow> rows, std::ostream &os);
-
-/** Geometric-mean speedup of design point @p i over @p rows,
- *  optionally restricted to one category. */
-double gmeanSpeedup(std::span<const SpeedupRow> rows, std::size_t i);
-double gmeanSpeedup(std::span<const SpeedupRow> rows, std::size_t i,
-                    WorkloadCategory category);
+                       const ResultMatrix &matrix,
+                       std::string_view baseline,
+                       std::span<const MatrixColumn> columns,
+                       std::ostream &os);
 
 /**
- * Write a comparison as CSV (one row per workload: name, category,
- * baseline exec time, then per-design-point exec time, speedup, and
- * the module byte counters). Returns false on I/O failure.
+ * Write one CSV row per workload: name, category, baseline exec time,
+ * then per column the exec time, speedup and module byte counters.
+ * Returns false when @p out is or goes bad.
  */
-bool writeSpeedupCsv(std::span<const DesignPoint> points,
-                     std::span<const SpeedupRow> rows,
-                     const std::string &path);
+bool writeSpeedupCsv(std::ostream &out, const ResultMatrix &matrix,
+                     std::string_view baseline,
+                     std::span<const MatrixColumn> columns);
 
 } // namespace cameo
 

@@ -184,46 +184,4 @@ SweepRunner::run(std::vector<SweepJob> jobs)
     return results;
 }
 
-std::vector<SpeedupRow>
-runComparison(const SystemConfig &base,
-              std::span<const DesignPoint> points,
-              std::span<const WorkloadProfile> workloads,
-              const SweepOptions &options)
-{
-    // Job layout: for each workload, the baseline run followed by one
-    // run per design point. The flat index encodes the (row, column)
-    // slot, so reassembly below is pure arithmetic.
-    std::vector<SweepJob> jobs;
-    jobs.reserve(workloads.size() * (points.size() + 1));
-    for (const WorkloadProfile &wl : workloads) {
-        jobs.push_back(
-            {wl.name + "/baseline", [&base, wl] {
-                 return runWorkload(base, OrgKind::Baseline, wl);
-             }});
-        for (const DesignPoint &point : points) {
-            jobs.push_back(
-                {wl.name + "/" + point.label, [&point, wl] {
-                     return runWorkload(point.config, point.kind, wl);
-                 }});
-        }
-    }
-
-    SweepRunner runner(options);
-    std::vector<RunResult> results = runner.run(std::move(jobs));
-
-    std::vector<SpeedupRow> rows;
-    rows.reserve(workloads.size());
-    const std::size_t stride = points.size() + 1;
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        SpeedupRow row;
-        row.workload = workloads[w];
-        row.baseline = std::move(results[w * stride]);
-        row.runs.reserve(points.size());
-        for (std::size_t p = 0; p < points.size(); ++p)
-            row.runs.push_back(std::move(results[w * stride + 1 + p]));
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
 } // namespace cameo

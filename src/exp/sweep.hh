@@ -2,10 +2,10 @@
  * @file
  * Work-stealing parallel sweep engine for experiment matrices.
  *
- * Every figure/table bench runs an embarrassingly parallel matrix of
- * independent, deterministically-seeded simulations (baseline + each
- * design point, for each workload). SweepRunner executes such a job
- * list on N worker threads and returns results in submission order, so
+ * Every bench runs an embarrassingly parallel matrix of independent,
+ * deterministically-seeded simulations: each design point on each
+ * workload (runMatrix, exp/experiment.hh). SweepRunner executes such a
+ * job list on N worker threads and returns results in submission order, so
  * serial (jobs=1) and parallel (jobs=N) sweeps are bit-identical:
  *
  *  - Each job is a pure function of its captured config: every System
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "exp/progress.hh"
-#include "exp/experiment.hh"
+#include "system/system.hh"
 
 namespace cameo
 {
@@ -117,17 +117,6 @@ class SweepRunner
     SweepOptions options_;
     SweepTelemetry telemetry_;
 };
-
-/**
- * Parallel equivalent of runComparison(): baseline plus every design
- * point over every workload, executed on the sweep engine. Results are
- * bit-identical to the serial harness for any worker count.
- */
-std::vector<SpeedupRow>
-runComparison(const SystemConfig &base,
-              std::span<const DesignPoint> points,
-              std::span<const WorkloadProfile> workloads,
-              const SweepOptions &options);
 
 } // namespace cameo
 

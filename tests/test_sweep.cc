@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "check/audit.hh"
+#include "exp/experiment.hh"
 #include "exp/progress.hh"
 #include "exp/sweep.hh"
 #include "system/system.hh"
@@ -40,7 +41,7 @@ sweepConfig()
     return config;
 }
 
-/** The three-workload x three-design-point matrix under test. */
+/** The three-workload x five-design-point matrix under test. */
 std::vector<WorkloadProfile>
 sweepWorkloads()
 {
@@ -52,6 +53,7 @@ std::vector<DesignPoint>
 sweepPoints(const SystemConfig &config)
 {
     return {
+        DesignPoint{"Baseline", OrgKind::Baseline, config},
         DesignPoint{"Cache", OrgKind::AlloyCache, config},
         DesignPoint{"TLM-Static", OrgKind::TlmStatic, config},
         DesignPoint{"CAMEO", OrgKind::Cameo, config},
@@ -90,21 +92,21 @@ expectRunResultsIdentical(const RunResult &a, const RunResult &b)
 }
 
 void
-expectRowsIdentical(const std::vector<SpeedupRow> &a,
-                    const std::vector<SpeedupRow> &b)
+expectMatricesIdentical(const ResultMatrix &a, const ResultMatrix &b)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE(a[i].workload.name);
-        EXPECT_EQ(a[i].workload.name, b[i].workload.name);
-        expectRunResultsIdentical(a[i].baseline, b[i].baseline);
-        ASSERT_EQ(a[i].runs.size(), b[i].runs.size());
-        for (std::size_t j = 0; j < a[i].runs.size(); ++j)
-            expectRunResultsIdentical(a[i].runs[j], b[i].runs[j]);
+    ASSERT_EQ(a.workloads.size(), b.workloads.size());
+    ASSERT_EQ(a.points.size(), b.points.size());
+    ASSERT_EQ(a.runs.size(), a.workloads.size() * a.points.size());
+    ASSERT_EQ(a.runs.size(), b.runs.size());
+    for (std::size_t w = 0; w < a.workloads.size(); ++w) {
+        SCOPED_TRACE(a.workloads[w].name);
+        EXPECT_EQ(a.workloads[w].name, b.workloads[w].name);
+        for (std::size_t p = 0; p < a.points.size(); ++p)
+            expectRunResultsIdentical(a.at(p, w), b.at(p, w));
     }
 }
 
-std::vector<SpeedupRow>
+ResultMatrix
 comparisonWith(unsigned jobs, std::uint64_t shuffle_seed = 0)
 {
     const SystemConfig config = sweepConfig();
@@ -113,14 +115,14 @@ comparisonWith(unsigned jobs, std::uint64_t shuffle_seed = 0)
     SweepOptions options;
     options.jobs = jobs;
     options.shuffleSeed = shuffle_seed;
-    return runComparison(config, points, workloads, options);
+    return runMatrix(points, workloads, options);
 }
 
 TEST(SweepDeterminismTest, SerialAndParallelComparisonsBitIdentical)
 {
     const auto serial = comparisonWith(1);
     const auto parallel = comparisonWith(8);
-    expectRowsIdentical(serial, parallel);
+    expectMatricesIdentical(serial, parallel);
 }
 
 TEST(SweepDeterminismTest, ShuffledSubmissionOrderBitIdentical)
@@ -128,8 +130,8 @@ TEST(SweepDeterminismTest, ShuffledSubmissionOrderBitIdentical)
     const auto serial = comparisonWith(1);
     // Two different shuffles of the internal queues: execution order
     // differs, reassembled results must not.
-    expectRowsIdentical(serial, comparisonWith(8, 0xBEEF));
-    expectRowsIdentical(serial, comparisonWith(3, 0xFEEDFACE));
+    expectMatricesIdentical(serial, comparisonWith(8, 0xBEEF));
+    expectMatricesIdentical(serial, comparisonWith(3, 0xFEEDFACE));
 }
 
 TEST(SweepDeterminismTest, RepeatedRunsIdenticalRegardlessOfHostThread)

@@ -184,24 +184,28 @@ TEST(ExperimentTest, ComparisonAndGmeans)
     SystemConfig c = testConfig();
     c.accessesPerCore = 10000;
     const std::vector<DesignPoint> points{
+        {"Baseline", OrgKind::Baseline, c},
         {"Cache", OrgKind::AlloyCache, c},
         {"CAMEO", OrgKind::Cameo, c},
     };
+    const std::vector<MatrixColumn> columns{{"Cache", "Cache"},
+                                            {"CAMEO", "CAMEO"}};
     const std::vector<WorkloadProfile> wls{*findWorkload("sphinx3"),
                                            *findWorkload("zeusmp")};
-    const auto rows = runComparison(c, points, wls, nullptr);
-    ASSERT_EQ(rows.size(), 2u);
-    ASSERT_EQ(rows[0].runs.size(), 2u);
-    for (const auto &row : rows) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            EXPECT_GT(row.speedupOf(i), 0.0);
+    const ResultMatrix m = runMatrix(points, wls, {});
+    ASSERT_EQ(m.workloads.size(), 2u);
+    ASSERT_EQ(m.points.size(), 3u);
+    ASSERT_EQ(m.runs.size(), 6u);
+    for (std::size_t w = 0; w < wls.size(); ++w) {
+        for (std::size_t p = 1; p < points.size(); ++p)
+            EXPECT_GT(m.speedup(0, p, w), 0.0);
     }
-    EXPECT_GT(gmeanSpeedup(rows, 0), 0.0);
-    EXPECT_GT(gmeanSpeedup(rows, 1, WorkloadCategory::CapacityLimited),
+    EXPECT_GT(gmeanSpeedup(m, 0, 1), 0.0);
+    EXPECT_GT(gmeanSpeedup(m, 0, 2, WorkloadCategory::CapacityLimited),
               0.0);
 
     std::ostringstream out;
-    printSpeedupTable("test table", points, rows, out);
+    printSpeedupTable("test table", m, "Baseline", columns, out);
     EXPECT_NE(out.str().find("sphinx3"), std::string::npos);
     EXPECT_NE(out.str().find("Gmean-ALL"), std::string::npos);
 }
@@ -211,11 +215,15 @@ TEST(ExperimentTest, CsvExport)
     SystemConfig c = testConfig();
     c.accessesPerCore = 5000;
     const std::vector<DesignPoint> points{
-        {"CAMEO", OrgKind::Cameo, c}};
+        {"Baseline", OrgKind::Baseline, c}, {"CAMEO", OrgKind::Cameo, c}};
+    const std::vector<MatrixColumn> columns{{"CAMEO", "CAMEO"}};
     const std::vector<WorkloadProfile> wls{*findWorkload("sphinx3")};
-    const auto rows = runComparison(c, points, wls, nullptr);
+    const ResultMatrix m = runMatrix(points, wls, {});
     const std::string path = "/tmp/cameo_test_export.csv";
-    ASSERT_TRUE(writeSpeedupCsv(points, rows, path));
+    {
+        std::ofstream csv(path, std::ios::trunc);
+        ASSERT_TRUE(writeSpeedupCsv(csv, m, "Baseline", columns));
+    }
     std::ifstream in(path);
     std::string header, line;
     ASSERT_TRUE(std::getline(in, header));
@@ -223,7 +231,8 @@ TEST(ExperimentTest, CsvExport)
     EXPECT_NE(header.find("CAMEO_speedup"), std::string::npos);
     EXPECT_NE(line.find("sphinx3,Latency,"), std::string::npos);
     std::remove(path.c_str());
-    EXPECT_FALSE(writeSpeedupCsv(points, rows, "/nonexistent/dir/x.csv"));
+    std::ofstream unwritable("/nonexistent/dir/x.csv");
+    EXPECT_FALSE(writeSpeedupCsv(unwritable, m, "Baseline", columns));
 }
 
 TEST(ExperimentTest, CategoryGmeanEmptyIsZero)
@@ -231,10 +240,11 @@ TEST(ExperimentTest, CategoryGmeanEmptyIsZero)
     SystemConfig c = testConfig();
     c.accessesPerCore = 5000;
     const std::vector<DesignPoint> points{
+        {"Baseline", OrgKind::Baseline, c},
         {"Cache", OrgKind::AlloyCache, c}};
     const std::vector<WorkloadProfile> wls{*findWorkload("sphinx3")};
-    const auto rows = runComparison(c, points, wls, nullptr);
-    EXPECT_EQ(gmeanSpeedup(rows, 0, WorkloadCategory::CapacityLimited),
+    const ResultMatrix m = runMatrix(points, wls, {});
+    EXPECT_EQ(gmeanSpeedup(m, 0, 1, WorkloadCategory::CapacityLimited),
               0.0);
 }
 

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/experiment.hh"
 #include "exp/sweep.hh"
 #include "snapshot_common.hh"
 #include "system/system.hh"
@@ -475,6 +476,7 @@ TEST(ArenaSweepTest, ComparisonRowsIdenticalWithAndWithoutArena)
     const std::vector<WorkloadProfile> workloads = {
         *findWorkload("mcf"), *findWorkload("milc")};
     const std::vector<DesignPoint> arena_points{
+        {"baseline", OrgKind::Baseline, base},
         {"cameo", OrgKind::Cameo, base},
         {"oracle", OrgKind::TlmOracle, base},
         {"oracle-1MB", OrgKind::TlmOracle, larger_offchip}};
@@ -487,21 +489,16 @@ TEST(ArenaSweepTest, ComparisonRowsIdenticalWithAndWithoutArena)
     SweepOptions without_arena;
     without_arena.jobs = 1;
 
-    const auto rows_arena =
-        runComparison(base, arena_points, workloads, with_arena);
-    const auto rows_direct = runComparison(
-        generatorSourced(base), direct_points, workloads, without_arena);
-    ASSERT_EQ(rows_arena.size(), rows_direct.size());
-    for (std::size_t w = 0; w < rows_arena.size(); ++w) {
-        const std::string &wl = rows_arena[w].workload.name;
-        snaptest::expectSameResult(rows_direct[w].baseline,
-                                   rows_arena[w].baseline,
-                                   wl + "/baseline");
-        ASSERT_EQ(rows_arena[w].runs.size(), rows_direct[w].runs.size());
-        for (std::size_t p = 0; p < rows_arena[w].runs.size(); ++p) {
-            snaptest::expectSameResult(rows_direct[w].runs[p],
-                                       rows_arena[w].runs[p],
-                                       wl + "/" + arena_points[p].label);
+    const ResultMatrix arena = runMatrix(arena_points, workloads, with_arena);
+    const ResultMatrix direct =
+        runMatrix(direct_points, workloads, without_arena);
+    ASSERT_EQ(arena.runs.size(), workloads.size() * arena_points.size());
+    ASSERT_EQ(arena.runs.size(), direct.runs.size());
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        for (std::size_t p = 0; p < arena_points.size(); ++p) {
+            snaptest::expectSameResult(direct.at(p, w), arena.at(p, w),
+                                       workloads[w].name + "/" +
+                                           arena_points[p].label);
         }
     }
 }

@@ -189,7 +189,7 @@ main(int argc, char **argv)
     else if (timing == "queued")
         config.timingMode = TimingMode::Queued;
     else {
-        std::cerr << "unknown --timing (blocking|queued)\n";
+        std::cerr << "error: unknown --timing (blocking|queued)\n";
         return EXIT_FAILURE;
     }
     if (accesses == 0) {
@@ -231,7 +231,8 @@ main(int argc, char **argv)
     for (const std::string &name : org_names) {
         const std::optional<OrgKind> kind = orgKindFromName(name);
         if (!kind) {
-            std::cerr << "unknown --orgs entry \"" << name << "\"\n";
+            std::cerr << "error: unknown --orgs entry \"" << name
+                      << "\"\n";
             return EXIT_FAILURE;
         }
         if (const char *err = config.orgConfig().validate(*kind)) {
@@ -245,7 +246,7 @@ main(int argc, char **argv)
     for (const std::string &wl_name : workload_names) {
         const WorkloadProfile *profile = findWorkload(wl_name);
         if (profile == nullptr) {
-            std::cerr << "unknown --workloads entry \"" << wl_name
+            std::cerr << "error: unknown --workloads entry \"" << wl_name
                       << "\"\n";
             return EXIT_FAILURE;
         }
