@@ -23,6 +23,7 @@
 #define CAMEO_BENCH_BENCH_COMMON_HH
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
@@ -83,6 +84,29 @@ benchWorkloads()
         return allWorkloads();
     }
     return out;
+}
+
+/** Print the error for a bench output named by @p env it cannot write. */
+inline void
+printCannotWrite(const char *env, const std::string &path)
+{
+    std::cerr << "error: " << env << ": cannot write '" << path << "'\n";
+}
+
+/**
+ * Check, before a bench's sweep, that its output @p path can be
+ * written, so an unwritable one fails at once instead of after the
+ * whole run. The probe opens for append, which keeps an existing
+ * file's bytes: an interrupted run leaves a committed BENCH_*.json as
+ * it was. Prints the error naming @p env when the path is unwritable.
+ */
+inline bool
+checkWritable(const char *env, const std::string &path)
+{
+    if (std::ofstream(path, std::ios::app))
+        return true;
+    printCannotWrite(env, path);
+    return false;
 }
 
 /**

@@ -29,8 +29,7 @@ main()
     if (csv_path != nullptr) {
         csv.open(csv_path, std::ios::trunc);
         if (!csv) {
-            std::cerr << "error: CAMEO_BENCH_CSV: cannot write '"
-                      << csv_path << "'\n";
+            printCannotWrite("CAMEO_BENCH_CSV", csv_path);
             return 1;
         }
     }
@@ -47,8 +46,7 @@ main()
         const bool written = writePaperCsv(csv, matrix);
         csv.close();
         if (!written || csv.fail()) {
-            std::cerr << "error: CAMEO_BENCH_CSV: cannot write '"
-                      << csv_path << "'\n";
+            printCannotWrite("CAMEO_BENCH_CSV", csv_path);
             return 1;
         }
         std::cout << "\nwrote " << csv_path << "\n";

@@ -18,7 +18,8 @@
  *                            default is all 17
  *   CAMEO_BENCH_JOBS         sweep worker threads
  *   CAMEO_BENCH_BANSHEE_OUT  output JSON path (default
- *                            BENCH_banshee.json)
+ *                            BENCH_banshee.json); an unwritable
+ *                            path exits 1 before the sweep
  *
  * Output: a stdout table plus BENCH_banshee.json with one record per
  * (workload, organization) and per-org total-traffic summaries,
@@ -81,6 +82,8 @@ main()
     const char *out_env = std::getenv("CAMEO_BENCH_BANSHEE_OUT");
     const std::string out_path =
         out_env != nullptr ? out_env : "BENCH_banshee.json";
+    if (!checkWritable("CAMEO_BENCH_BANSHEE_OUT", out_path))
+        return 1;
 
     const std::vector<WorkloadProfile> workloads = benchWorkloads();
     const std::vector<DesignPoint> orgs{
@@ -148,7 +151,7 @@ main()
 
     std::ofstream out(out_path, std::ios::trunc);
     if (!out) {
-        std::cerr << "error: cannot write " << out_path << "\n";
+        printCannotWrite("CAMEO_BENCH_BANSHEE_OUT", out_path);
         return 1;
     }
     out << "{\n"

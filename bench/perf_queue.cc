@@ -17,7 +17,8 @@
  *   CAMEO_BENCH_WORKLOADS  comma-separated workload override; default
  *                          is the bandwidth-heavy set below
  *   CAMEO_BENCH_JOBS       sweep worker threads
- *   CAMEO_BENCH_QUEUE_OUT  output JSON path (default BENCH_queue.json)
+ *   CAMEO_BENCH_QUEUE_OUT  output JSON path (default BENCH_queue.json);
+ *                          an unwritable path exits 1 before the sweep
  *
  * Output: a stdout table plus BENCH_queue.json with one record per
  * (workload, organization), consumed by CI's extension-smoke
@@ -117,6 +118,8 @@ main()
     const char *out_env = std::getenv("CAMEO_BENCH_QUEUE_OUT");
     const std::string out_path =
         out_env != nullptr ? out_env : "BENCH_queue.json";
+    if (!checkWritable("CAMEO_BENCH_QUEUE_OUT", out_path))
+        return 1;
 
     // Bandwidth-heavy defaults: the Table-IV workloads with the most
     // DRAM traffic per instruction on each side of the category split.
@@ -205,7 +208,7 @@ main()
 
     std::ofstream out(out_path, std::ios::trunc);
     if (!out) {
-        std::cerr << "error: cannot write " << out_path << "\n";
+        printCannotWrite("CAMEO_BENCH_QUEUE_OUT", out_path);
         return 1;
     }
     out << "{\n"

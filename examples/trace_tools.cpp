@@ -97,13 +97,21 @@ cmdInfo(int argc, char **argv)
     std::set<PageAddr> pages;
     std::set<InstAddr> pcs;
     std::uint64_t writes = 0, dependent = 0, instructions = 0;
-    for (std::uint64_t i = 0; i < reader.size(); ++i) {
-        const Access a = reader.next();
-        pages.insert(pageOf(a.vaddr));
-        pcs.insert(a.pc);
-        writes += a.isWrite;
-        dependent += a.dependsOnPrev;
-        instructions += a.gapInstructions;
+    constexpr std::size_t kChunk = 256;
+    Access buf[kChunk];
+    for (std::uint64_t left = reader.size(); left > 0;) {
+        const std::size_t n =
+            left < kChunk ? static_cast<std::size_t>(left) : kChunk;
+        reader.refill(buf, n);
+        left -= n;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Access &a = buf[i];
+            pages.insert(pageOf(a.vaddr));
+            pcs.insert(a.pc);
+            writes += a.isWrite;
+            dependent += a.dependsOnPrev;
+            instructions += a.gapInstructions;
+        }
     }
     std::cout << "  records      " << reader.size()
               << "\n  instructions " << instructions

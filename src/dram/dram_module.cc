@@ -56,20 +56,9 @@ DramModule::DramModule(std::string name, const DramTimings &timings,
 }
 
 Tick
-DramModule::request(Tick now, std::uint64_t device_line, bool is_write,
-                    std::uint32_t burst_bytes)
-{
-    if (mode_ == TimingMode::Blocking)
-        return blockingRequest(now, device_line, is_write, burst_bytes);
-    return queuedRequest(now, device_line, is_write, burst_bytes);
-}
-
-Tick
 DramModule::blockingRequest(Tick now, std::uint64_t device_line,
                             bool is_write, std::uint32_t burst_bytes)
 {
-    assert(device_line < capacityLines_ && "device address out of range");
-
     const DramCoord coord = map_.decode(device_line);
 
     if (is_write) {
@@ -193,8 +182,6 @@ Tick
 DramModule::queuedRequest(Tick now, std::uint64_t device_line,
                           bool is_write, std::uint32_t burst_bytes)
 {
-    assert(device_line < capacityLines_ && "device address out of range");
-
     const DramCoord coord = map_.decode(device_line);
     QueuedChannel &qc = queued_[coord.channel];
 

@@ -75,7 +75,9 @@ class DramModule
      * controller queues: writes post into the write buffer (FR-FCFS
      * forced drains at the high watermark), reads stall behind a full
      * in-service window and then reserve bank/bus resources exactly as
-     * Blocking reads do.
+     * Blocking reads do. An untimed module (setTimed(false)) answers
+     * at once and leaves every bank, bus, queue, counter and the
+     * protocol auditor as they were.
      *
      * @param now         Earliest time the command may issue.
      * @param device_line Line index within this device.
@@ -83,10 +85,30 @@ class DramModule
      * @param burst_bytes Data moved: 64 for a plain line, 80 for a
      *                    CAMEO LEAD or Alloy TAD burst.
      * @return Completion time: data arrival for reads, buffer
-     *         acceptance (or forced-drain completion) for writes.
+     *         acceptance (or forced-drain completion) for writes;
+     *         @p now when untimed.
      */
     Tick request(Tick now, std::uint64_t device_line, bool is_write,
-                 std::uint32_t burst_bytes = kLineBytes);
+                 std::uint32_t burst_bytes = kLineBytes)
+    {
+        assert(device_line < capacityLines_ && "device address out of range");
+        if (!timed_)
+            return now;
+        if (mode_ == TimingMode::Blocking)
+            return blockingRequest(now, device_line, is_write, burst_bytes);
+        return queuedRequest(now, device_line, is_write, burst_bytes);
+    }
+
+    /**
+     * Switch between timed and untimed service (the functional warmup,
+     * DESIGN.md §13). A phase flag, not configuration: modules are
+     * built timed, and it is not checkpointed, because no snapshot is
+     * taken while it is clear.
+     */
+    void setTimed(bool timed) { timed_ = timed; }
+
+    /** False while request() skips the timing model. */
+    bool timed() const { return timed_; }
 
     /**
      * Select the timing mode. Queued mode allocates the per-channel
@@ -317,6 +339,7 @@ class DramModule
     std::uint64_t capacityLines_;
     std::vector<Channel> channels_;
 
+    bool timed_ = true;
     TimingMode mode_ = TimingMode::Blocking;
     DramQueueConfig queueCfg_;
     std::vector<QueuedChannel> queued_;

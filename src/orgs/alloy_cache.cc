@@ -67,10 +67,9 @@ AlloyCacheOrg::trainPredictor(std::uint32_t core, InstAddr pc, bool hit)
 
 Tick
 AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                      std::uint32_t core, Fidelity fidelity)
+                      std::uint32_t core)
 {
     assert(line < offchip_.capacityLines());
-    const bool detailed = fidelity == Fidelity::Detailed;
     const std::uint64_t set_idx = line % tags_.size();
     TagEntry &set = tags_[set_idx];
     const bool hit = set.valid && set.tag == line;
@@ -79,12 +78,9 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // L3 writeback: update in place on hit; on miss, install the
         // line (evicted L3 lines are recently used and likely to be
         // re-referenced — stacked caches allocate on writeback).
-        Tick done = now;
-        if (detailed) {
-            if (!hit && set.valid && set.dirty)
-                offchip_.request(now, set.tag, true, kLineBytes);
-            done = stacked_.request(now, set_idx, true, kTadBurstBytes);
-        }
+        if (!hit && set.valid && set.dirty)
+            offchip_.request(now, set.tag, true, kLineBytes);
+        const Tick done = stacked_.request(now, set_idx, true, kTadBurstBytes);
         set.tag = line;
         set.valid = true;
         set.dirty = true;
@@ -93,9 +89,7 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
 
     const bool pred_hit = predictHit(core, pc);
     // The TAD read doubles as tag check and (on hit) data delivery.
-    const Tick t_tad =
-        detailed ? stacked_.request(now, set_idx, false, kTadBurstBytes)
-                 : now;
+    const Tick t_tad = stacked_.request(now, set_idx, false, kTadBurstBytes);
 
     Tick done = t_tad;
     if (hit) {
@@ -103,30 +97,27 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // Predicted miss but hit: the speculative off-chip fetch is
         // squashed once the TAD verifies the hit, unless the memory
         // would already have serviced it by then. That depends on
-        // queue occupancy, so it is detailed-only.
-        if (detailed && !pred_hit &&
+        // queue occupancy, so an untimed module counts none.
+        if (!pred_hit && offchip_.timed() &&
             offchip_.earliestServiceStart(line) <= t_tad) {
             offchip_.request(now, line, false, kLineBytes);
             wastedFetches_.inc();
         }
     } else {
         misses_.inc();
-        if (detailed) {
-            // Off-chip fetch: parallel with the TAD read when predicted
-            // miss, serialized behind the tag check otherwise.
-            const Tick issue = pred_hit ? t_tad : now;
-            const Tick t_off =
-                offchip_.request(issue, line, false, kLineBytes);
-            done = std::max(t_tad, t_off);
+        // Off-chip fetch: parallel with the TAD read when predicted
+        // miss, serialized behind the tag check otherwise.
+        const Tick issue = pred_hit ? t_tad : now;
+        const Tick t_off = offchip_.request(issue, line, false, kLineBytes);
+        done = std::max(t_tad, t_off);
 
-            // Fill: install the TAD; evict dirty victim to off-chip.
-            // The fill/writeback queues drain opportunistically, so
-            // their traffic is billed at request time (they contend
-            // for the buses but are not on the demand critical path).
-            if (set.valid && set.dirty)
-                offchip_.request(now, set.tag, true, kLineBytes);
-            stacked_.request(now, set_idx, true, kTadBurstBytes);
-        }
+        // Fill: install the TAD; evict dirty victim to off-chip. The
+        // fill/writeback queues drain opportunistically, so their
+        // traffic is billed at request time (they contend for the
+        // buses but are not on the demand critical path).
+        if (set.valid && set.dirty)
+            offchip_.request(now, set.tag, true, kLineBytes);
+        stacked_.request(now, set_idx, true, kTadBurstBytes);
         set.tag = line;
         set.valid = true;
         set.dirty = false;

@@ -47,7 +47,7 @@ class AlloyCacheOrg : public MemoryOrganization
                   std::string name = "Cache");
 
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core, Fidelity fidelity) override;
+                std::uint32_t core) override;
 
     std::uint64_t visibleBytes() const override
     {

@@ -1,7 +1,5 @@
 #include "orgs/baseline.hh"
 
-#include <cassert>
-
 namespace cameo
 {
 
@@ -14,15 +12,12 @@ BaselineOrg::BaselineOrg(const OrgConfig &config)
 
 Tick
 BaselineOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                    std::uint32_t core, Fidelity fidelity)
+                    std::uint32_t core)
 {
     (void)pc;
     (void)core;
-    assert(line < offchip_.capacityLines());
     // Off-chip DRAM holds every line and keeps no architectural state;
     // an access only advances timing.
-    if (fidelity == Fidelity::Functional)
-        return now;
     return offchip_.request(now, line, is_write, kLineBytes);
 }
 

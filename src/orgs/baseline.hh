@@ -20,7 +20,7 @@ class BaselineOrg : public MemoryOrganization
     explicit BaselineOrg(const OrgConfig &config);
 
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core, Fidelity fidelity) override;
+                std::uint32_t core) override;
 
     std::uint64_t visibleBytes() const override
     {

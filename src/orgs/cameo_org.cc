@@ -145,7 +145,7 @@ CameoOrg::CameoOrg(const OrgConfig &config, bool freq_admission)
 
 Tick
 CameoOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                 std::uint32_t core, Fidelity fidelity)
+                 std::uint32_t core)
 {
     if (freqAdmission_)
         noteAccess(line);
@@ -162,19 +162,17 @@ CameoOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
 
     // Writebacks update data in place: DRAM traffic only, no LLT or
     // predictor state changes.
-    if (is_write) {
-        return fidelity == Fidelity::Detailed ? writeback(now, group, loc)
-                                              : now;
-    }
+    if (is_write)
+        return writeback(now, group, loc);
 
     switch (lltKind_) {
       case LltKind::Ideal:
-        return accessIdeal(now, group, slot, loc, fidelity);
+        return accessIdeal(now, group, slot, loc);
       case LltKind::Embedded:
-        return accessEmbedded(now, group, slot, loc, fidelity);
+        return accessEmbedded(now, group, slot, loc);
       case LltKind::CoLocated:
       default:
-        return accessCoLocated(now, group, slot, loc, pc, core, fidelity);
+        return accessCoLocated(now, group, slot, loc, pc, core);
     }
 }
 
@@ -232,23 +230,19 @@ CameoOrg::writeback(Tick now, std::uint64_t group, std::uint32_t loc)
 
 void
 CameoOrg::swapIn(Tick when, std::uint64_t group, std::uint32_t slot,
-                 std::uint32_t loc, bool victim_in_hand, Fidelity fidelity)
+                 std::uint32_t loc, bool victim_in_hand)
 {
     assert(loc != 0);
-    if (fidelity == Fidelity::Detailed) {
-        // Read the outgoing stacked resident unless the caller already
-        // has it (Co-Located: the LEAD read returned it).
-        if (!victim_in_hand)
-            stacked_.request(when, stackedDataLine(group), false,
-                             stackedBurst());
-        // Victim takes the incoming line's old off-chip location.
-        offchip_.request(when, groups_.offchipLineOf(group, loc), true,
-                         kLineBytes);
-        // Incoming line is installed in the group's stacked slot (the
-        // LEAD write also refreshes the co-located location entry).
-        stacked_.request(when, stackedDataLine(group), true,
-                         stackedBurst());
-    }
+    // Read the outgoing stacked resident unless the caller already has
+    // it (Co-Located: the LEAD read returned it).
+    if (!victim_in_hand)
+        stacked_.request(when, stackedDataLine(group), false, stackedBurst());
+    // Victim takes the incoming line's old off-chip location.
+    offchip_.request(when, groups_.offchipLineOf(group, loc), true,
+                     kLineBytes);
+    // Incoming line is installed in the group's stacked slot (the LEAD
+    // write also refreshes the co-located location entry).
+    stacked_.request(when, stackedDataLine(group), true, stackedBurst());
 
     const std::uint32_t victim_slot = llt_.slotAt(group, 0);
     llt_.swapSlots(group, slot, victim_slot);
@@ -257,77 +251,62 @@ CameoOrg::swapIn(Tick when, std::uint64_t group, std::uint32_t slot,
 
 Tick
 CameoOrg::accessIdeal(Tick now, std::uint64_t group, std::uint32_t slot,
-                      std::uint32_t loc, Fidelity fidelity)
+                      std::uint32_t loc)
 {
-    const bool detailed = fidelity == Fidelity::Detailed;
     if (loc == 0) {
-        return detailed ? stacked_.request(now, stackedDataLine(group),
-                                           false, kLineBytes)
-                        : now;
+        return stacked_.request(now, stackedDataLine(group), false,
+                                kLineBytes);
     }
-    const Tick done =
-        detailed ? offchip_.request(now, groups_.offchipLineOf(group, loc),
-                                    false, kLineBytes)
-                 : now;
+    const Tick done = offchip_.request(
+        now, groups_.offchipLineOf(group, loc), false, kLineBytes);
     // Swap traffic goes through the writeback/fill queues; bill it at
     // request time (off the demand critical path).
     if (shouldSwap(group, slot))
-        swapIn(now, group, slot, loc, /*victim_in_hand=*/false, fidelity);
+        swapIn(now, group, slot, loc, /*victim_in_hand=*/false);
     return done;
 }
 
 Tick
 CameoOrg::accessEmbedded(Tick now, std::uint64_t group, std::uint32_t slot,
-                         std::uint32_t loc, Fidelity fidelity)
+                         std::uint32_t loc)
 {
-    const bool detailed = fidelity == Fidelity::Detailed;
     // Serial LLT lookup from the reserved stacked region.
     const Tick t_llt =
-        detailed ? stacked_.request(now, lltLine(group), false, kLineBytes)
-                 : now;
+        stacked_.request(now, lltLine(group), false, kLineBytes);
     lltLookups_.inc();
 
     if (loc == 0) {
-        return detailed ? stacked_.request(t_llt, stackedDataLine(group),
-                                           false, kLineBytes)
-                        : now;
+        return stacked_.request(t_llt, stackedDataLine(group), false,
+                                kLineBytes);
     }
-    const Tick done = detailed
-                          ? offchip_.request(
-                                t_llt, groups_.offchipLineOf(group, loc),
-                                false, kLineBytes)
-                          : now;
+    const Tick done = offchip_.request(
+        t_llt, groups_.offchipLineOf(group, loc), false, kLineBytes);
     if (shouldSwap(group, slot)) {
-        swapIn(t_llt, group, slot, loc, /*victim_in_hand=*/false,
-               fidelity);
+        swapIn(t_llt, group, slot, loc, /*victim_in_hand=*/false);
         // The swap moved lines, so the LLT entry must be rewritten.
-        if (detailed)
-            stacked_.request(t_llt, lltLine(group), true, kLineBytes);
+        stacked_.request(t_llt, lltLine(group), true, kLineBytes);
     }
     return done;
 }
 
 Tick
 CameoOrg::accessCoLocated(Tick now, std::uint64_t group, std::uint32_t slot,
-                          std::uint32_t loc, InstAddr pc, std::uint32_t core,
-                          Fidelity fidelity)
+                          std::uint32_t loc, InstAddr pc, std::uint32_t core)
 {
-    const bool detailed = fidelity == Fidelity::Detailed;
     // The LEAD read is the LLT lookup; it also returns the data of
     // whatever line currently occupies the group's stacked slot.
-    const Tick t_lead =
-        detailed ? stacked_.request(now, stackedDataLine(group), false,
-                                    stackedBurst())
-                 : now;
+    const Tick t_lead = stacked_.request(now, stackedDataLine(group), false,
+                                         stackedBurst());
 
     const std::uint32_t pred = predictor_.predict(core, pc, loc);
-    if (detailed && pred != 0 && pred != loc) {
+    if (pred != 0 && pred != loc && offchip_.timed()) {
         // Wrong off-chip guess (case 2 if the line is stacked, case 5
         // if elsewhere off-chip). The LEAD read verifies the
         // prediction at t_lead; a speculative fetch still queued at
         // that point is squashed before it touches the bus, so it only
         // wastes bandwidth when the off-chip memory could have
-        // serviced it immediately.
+        // serviced it immediately. That depends on queue occupancy,
+        // so an untimed module counts neither outcome.
         const std::uint64_t spec = groups_.offchipLineOf(group, pred);
         if (offchip_.earliestServiceStart(spec) <= t_lead) {
             offchip_.request(now, spec, false, kLineBytes);
@@ -340,26 +319,20 @@ CameoOrg::accessCoLocated(Tick now, std::uint64_t group, std::uint32_t slot,
     // Data came with the LEAD when the line is stacked.
     Tick done = t_lead;
     if (loc != 0) {
-        if (detailed) {
-            const std::uint64_t off_line =
-                groups_.offchipLineOf(group, loc);
-            if (pred == loc) {
-                // Correct prediction: off-chip fetch ran in parallel
-                // with the LEAD read; completion still waits for the
-                // LLT verification (the LEAD read).
-                const Tick t_off =
-                    offchip_.request(now, off_line, false, kLineBytes);
-                done = std::max(t_lead, t_off);
-            } else {
-                // Serialized: correct location only known after the
-                // LEAD.
-                done = offchip_.request(t_lead, off_line, false,
-                                        kLineBytes);
-            }
+        const std::uint64_t off_line = groups_.offchipLineOf(group, loc);
+        if (pred == loc) {
+            // Correct prediction: off-chip fetch ran in parallel with
+            // the LEAD read; completion still waits for the LLT
+            // verification (the LEAD read).
+            const Tick t_off =
+                offchip_.request(now, off_line, false, kLineBytes);
+            done = std::max(t_lead, t_off);
+        } else {
+            // Serialized: correct location only known after the LEAD.
+            done = offchip_.request(t_lead, off_line, false, kLineBytes);
         }
         if (shouldSwap(group, slot))
-            swapIn(now, group, slot, loc, /*victim_in_hand=*/true,
-                   fidelity);
+            swapIn(now, group, slot, loc, /*victim_in_hand=*/true);
     }
 
     predictor_.update(core, pc, pred, loc);

@@ -72,11 +72,11 @@ class CameoOrg : public MemoryOrganization
     /**
      * Service one OS-physical line access.
      *
-     * At Functional fidelity (DESIGN.md §13) the LLT swap decisions
-     * (same admission order), LLP prediction + training and
-     * serviced/swap counters are identical, but no DRAM request is
-     * issued and the speculative-fetch squash accounting (wasted /
-     * squashed fetches, a property of queue occupancy) is skipped.
+     * At Functional fidelity (DESIGN.md §13) the modules are untimed:
+     * the LLT swap decisions (same admission order), LLP prediction +
+     * training and serviced/swap counters are unchanged, and only the
+     * speculative-fetch squash accounting (wasted / squashed fetches,
+     * a property of queue occupancy) is skipped.
      *
      * @param line OS-physical line address (the "Requested Address"
      *             of the paper).
@@ -84,7 +84,7 @@ class CameoOrg : public MemoryOrganization
      *         @p now at Functional fidelity.
      */
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core, Fidelity fidelity) override;
+                std::uint32_t core) override;
 
     std::uint64_t visibleBytes() const override { return visibleBytes_; }
 
@@ -160,15 +160,14 @@ class CameoOrg : public MemoryOrganization
     /**
      * Move the line at (group, slot, loc != 0) into stacked memory,
      * moving the current stacked resident out to @p loc. Updates the
-     * LLT and, at Detailed fidelity, issues the writeback/fill traffic
-     * at @p when.
+     * LLT and issues the writeback/fill traffic at @p when.
      *
      * @param victim_in_hand True when the stacked resident's data was
      *        already read (Co-Located LEAD read), so no extra stacked
      *        read is needed.
      */
     void swapIn(Tick when, std::uint64_t group, std::uint32_t slot,
-                std::uint32_t loc, bool victim_in_hand, Fidelity fidelity);
+                std::uint32_t loc, bool victim_in_hand);
 
     /** Update a written-back line in place (no swap). */
     Tick writeback(Tick now, std::uint64_t group, std::uint32_t loc);
@@ -183,12 +182,11 @@ class CameoOrg : public MemoryOrganization
 
     /** Demand reads, one routine per LLT design (writes never get here). */
     Tick accessIdeal(Tick now, std::uint64_t group, std::uint32_t slot,
-                     std::uint32_t loc, Fidelity fidelity);
+                     std::uint32_t loc);
     Tick accessEmbedded(Tick now, std::uint64_t group, std::uint32_t slot,
-                        std::uint32_t loc, Fidelity fidelity);
+                        std::uint32_t loc);
     Tick accessCoLocated(Tick now, std::uint64_t group, std::uint32_t slot,
-                         std::uint32_t loc, InstAddr pc, std::uint32_t core,
-                         Fidelity fidelity);
+                         std::uint32_t loc, InstAddr pc, std::uint32_t core);
 
     DramModule stacked_;
     DramModule offchip_;

@@ -36,14 +36,11 @@ ComposedOrg::~ComposedOrg() = default;
 
 Tick
 ComposedOrg::routeLine(Tick now, std::uint64_t device_page,
-                       std::uint32_t line_in_page, bool is_write,
-                       Fidelity fidelity)
+                       std::uint32_t line_in_page, bool is_write)
 {
     assert(device_page < totalPages_);
     const bool stacked = inStacked(device_page);
     (stacked ? servicedStacked_ : servicedOffchip_).inc();
-    if (fidelity == Fidelity::Functional)
-        return now;
     if (stacked) {
         return stacked_.request(now,
                                device_page * kLinesPerPage + line_in_page,
@@ -56,42 +53,38 @@ ComposedOrg::routeLine(Tick now, std::uint64_t device_page,
 
 Tick
 ComposedOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                    std::uint32_t core, Fidelity fidelity)
+                    std::uint32_t core)
 {
     (void)pc;
     const PageAddr phys_page = lineToPage(line);
     // Translation first: mappings whose metadata lives in memory (the
     // Banshee PTE cache) may bill a walk and delay the data access.
-    const Tick start =
-        mapping_->beginAccess(now, phys_page, core, offchip_, fidelity);
+    const Tick start = mapping_->beginAccess(now, phys_page, core, offchip_);
     const std::uint64_t dev = mapping_->devicePageOf(phys_page);
     const auto line_in_page =
         static_cast<std::uint32_t>(line & (kLinesPerPage - 1));
-    const Tick done = routeLine(start, dev, line_in_page, is_write,
-                                fidelity);
+    const Tick done = routeLine(start, dev, line_in_page, is_write);
     // Migration traffic drains through writeback/fill queues; bill it
     // at request time, off the demand critical path.
-    placement_->onAccess(*this, start, phys_page, dev, is_write, fidelity);
+    placement_->onAccess(*this, start, phys_page, dev, is_write);
     return done;
 }
 
 void
 ComposedOrg::billPageSwap(Tick when, std::uint64_t offchip_dev_page,
-                          std::uint64_t stacked_dev_page, Fidelity fidelity)
+                          std::uint64_t stacked_dev_page)
 {
     assert(!inStacked(offchip_dev_page) && inStacked(stacked_dev_page));
-    if (fidelity == Fidelity::Detailed) {
-        const std::uint64_t off_base =
-            (offchip_dev_page - stackedPages_) * kLinesPerPage;
-        const std::uint64_t stk_base = stacked_dev_page * kLinesPerPage;
-        for (std::uint32_t i = 0; i < kLinesPerPage; ++i) {
-            // Page coming in: read off-chip, write stacked.
-            offchip_.request(when, off_base + i, false, kLineBytes);
-            stacked_.request(when, stk_base + i, true, kLineBytes);
-            // Victim going out: read stacked, write off-chip.
-            stacked_.request(when, stk_base + i, false, kLineBytes);
-            offchip_.request(when, off_base + i, true, kLineBytes);
-        }
+    const std::uint64_t off_base =
+        (offchip_dev_page - stackedPages_) * kLinesPerPage;
+    const std::uint64_t stk_base = stacked_dev_page * kLinesPerPage;
+    for (std::uint32_t i = 0; i < kLinesPerPage; ++i) {
+        // Page coming in: read off-chip, write stacked.
+        offchip_.request(when, off_base + i, false, kLineBytes);
+        stacked_.request(when, stk_base + i, true, kLineBytes);
+        // Victim going out: read stacked, write off-chip.
+        stacked_.request(when, stk_base + i, false, kLineBytes);
+        offchip_.request(when, off_base + i, true, kLineBytes);
     }
     pageMigrations_.inc();
 }

@@ -19,7 +19,6 @@
 #include "orgs/memory_organization.hh"
 #include "orgs/policy/mapping_policy.hh"
 #include "orgs/policy/placement_policy.hh"
-#include "sim/fidelity.hh"
 
 namespace cameo
 {
@@ -35,7 +34,7 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     ~ComposedOrg() override;
 
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                std::uint32_t core, Fidelity fidelity) override;
+                std::uint32_t core) override;
 
     std::uint64_t visibleBytes() const override
     {
@@ -69,8 +68,7 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     }
 
     void billPageSwap(Tick when, std::uint64_t offchip_dev_page,
-                      std::uint64_t stacked_dev_page,
-                      Fidelity fidelity) override;
+                      std::uint64_t stacked_dev_page) override;
 
     /** Page-map events are the placement policy's business. */
     void onPageMapped(std::uint32_t frame, std::uint32_t core,
@@ -107,13 +105,11 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     }
 
     /**
-     * Service a line of @p device_page from the right module (counting
-     * the demand routing at both fidelities; the module request only
-     * at Detailed).
+     * Service a line of @p device_page from the right module, counting
+     * the demand routing.
      */
     Tick routeLine(Tick now, std::uint64_t device_page,
-                   std::uint32_t line_in_page, bool is_write,
-                   Fidelity fidelity);
+                   std::uint32_t line_in_page, bool is_write);
 
     DramModule stacked_;
     DramModule offchip_;

@@ -35,8 +35,8 @@ MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
     req.core = core;
     req.issueTick = now;
 
-    const Tick done = access(now, line, is_write, pc, core,
-                             Fidelity::Detailed);
+    assert(offchipModule().timed() && "submit() is the timed entry point");
+    const Tick done = access(now, line, is_write, pc, core);
 #if CAMEO_AUDIT_ENABLED
     queueAudit_.onSubmit(req.id, now);
 #endif
@@ -203,6 +203,15 @@ MemoryOrganization::applyTimingConfig(const OrgConfig &config)
     queueAudit_.setMonotonicDelivery(config.timingMode ==
                                      TimingMode::Queued);
 #endif
+}
+
+void
+MemoryOrganization::setFidelity(Fidelity fidelity)
+{
+    const bool timed = fidelity == Fidelity::Detailed;
+    if (DramModule *stacked = stackedModule())
+        stacked->setTimed(timed);
+    offchipModule().setTimed(timed);
 }
 
 void

@@ -10,15 +10,16 @@
  * and therefore drives the page-fault behaviour of Capacity-Limited
  * workloads.
  *
- * Each organization has one access routine, access(), taking the
- * Fidelity of the access (DESIGN.md §13): Detailed issues the DRAM
- * requests and returns the completion tick; Functional makes the same
- * architectural state updates without them. The factory builds the
- * TLM family and Banshee as ComposedOrg policy pairs, and DoubleUse as
- * an AlloyCacheOrg over enlarged backing memory (DESIGN.md §14).
+ * Each organization has one access routine, access(), that makes its
+ * architectural state updates and issues its DRAM requests. Fidelity
+ * (DESIGN.md §13) lives in the DRAM modules: setFidelity(Functional)
+ * makes both modules untimed, so the same routine updates the same
+ * state and returns the request time. The factory builds the TLM
+ * family and Banshee as ComposedOrg policy pairs, and DoubleUse as an
+ * AlloyCacheOrg over enlarged backing memory (DESIGN.md §14).
  *
  * Requesters enter through submit(), the transaction front door
- * (DESIGN.md §9): it wraps the detailed access() timing model in a
+ * (DESIGN.md §9): it wraps the timed access() model in a
  * MemRequest and delivers the completion to the issuing MemClient —
  * synchronously in Blocking timing (the legacy control flow,
  * bit-identical stats), or through the bound SimKernel event queue at
@@ -147,15 +148,12 @@ class MemoryOrganization : public Checkpointable
     MemoryOrganization &operator=(const MemoryOrganization &) = delete;
 
     /**
-     * Service one OS-physical line access.
-     *
-     * At Detailed fidelity the routine issues the DRAM requests and
-     * returns the completion tick. At Functional fidelity (DESIGN.md
-     * §13) it makes exactly the same architectural state updates in
-     * the same order — tag arrays, LLT permutations, predictor
-     * training, heat counters, migration decisions, RNG draws,
-     * demand-routing counters — but issues no DRAM request, skips the
-     * timing-only counters (speculative-fetch squash/waste), and
+     * Service one OS-physical line access: update the architectural
+     * state — tag arrays, LLT permutations, predictor training, heat
+     * counters, migration decisions, RNG draws, demand-routing
+     * counters — and issue the DRAM requests that placement costs.
+     * Under setFidelity(Functional) the requests return at once, so
+     * the same updates happen in the same order and the routine
      * returns @p now.
      *
      * @param now      Request time.
@@ -163,11 +161,18 @@ class MemoryOrganization : public Checkpointable
      * @param is_write L3 writeback (true) or demand fill (false).
      * @param pc       Missing instruction address (for predictors).
      * @param core     Requesting core id.
-     * @param fidelity Detailed (timed) or Functional (state only).
      * @return Data-arrival time for reads; acceptance time for writes.
      */
     virtual Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
-                        std::uint32_t core, Fidelity fidelity) = 0;
+                        std::uint32_t core) = 0;
+
+    /**
+     * Switch both DRAM modules between timed (Detailed) and untimed
+     * (Functional) service, DESIGN.md §13. Organizations are built at
+     * Detailed; System's functional warmup switches to Functional for
+     * its synchronous loop only.
+     */
+    void setFidelity(Fidelity fidelity);
 
     /**
      * Reset all timing state while preserving architectural state: the
@@ -178,14 +183,15 @@ class MemoryOrganization : public Checkpointable
      * functional- and detailed-warmup runs enter the measured region
      * with identical timing state.
      */
-    virtual void resetTiming();
+    void resetTiming();
 
     /**
-     * Submit one transaction to the memory pipeline. Timing comes from
-     * the Detailed access() model; completion delivery depends on the
-     * mode: Blocking invokes @p client->onMemComplete before returning
-     * (identical control flow to calling access() directly), Queued
-     * schedules it on the bound event queue at the completion tick.
+     * Submit one transaction to the memory pipeline; the organization
+     * must be at Detailed fidelity. Timing comes from access();
+     * completion delivery depends on the mode: Blocking invokes
+     * @p client->onMemComplete before returning (identical control
+     * flow to calling access() directly), Queued schedules it on the
+     * bound event queue at the completion tick.
      *
      * @param now      Request time (requester's local clock).
      * @param line     OS-physical line address.

@@ -25,21 +25,19 @@ EpochFrequencyPlacement::EpochFrequencyPlacement(std::uint64_t stacked_pages,
 void
 EpochFrequencyPlacement::onAccess(PlacementContext &ctx, Tick when,
                                   PageAddr phys_page,
-                                  std::uint64_t device_page, bool is_write,
-                                  Fidelity fidelity)
+                                  std::uint64_t device_page, bool is_write)
 {
     (void)device_page;
     (void)is_write;
     ++pageCount_[phys_page];
     if (++accessesThisEpoch_ >= epochLength_) {
         accessesThisEpoch_ = 0;
-        rebalance(ctx, when, fidelity);
+        rebalance(ctx, when);
     }
 }
 
 void
-EpochFrequencyPlacement::rebalance(PlacementContext &ctx, Tick when,
-                                   Fidelity fidelity)
+EpochFrequencyPlacement::rebalance(PlacementContext &ctx, Tick when)
 {
     epochs_.inc();
 
@@ -78,7 +76,7 @@ EpochFrequencyPlacement::rebalance(PlacementContext &ctx, Tick when,
     for (std::size_t i = 0; i < swaps; ++i) {
         const std::uint64_t off_dev = ctx.devicePageOf(moveIn[i]);
         const std::uint64_t stk_dev = ctx.devicePageOf(moveOut[i]);
-        ctx.billPageSwap(when, off_dev, stk_dev, fidelity);
+        ctx.billPageSwap(when, off_dev, stk_dev);
         ctx.swapMapping(moveIn[i], moveOut[i]);
     }
 

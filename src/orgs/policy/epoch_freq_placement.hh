@@ -34,8 +34,7 @@ class EpochFrequencyPlacement final : public PagePlacementPolicy
     const Counter &epochs() const { return epochs_; }
 
     void onAccess(PlacementContext &ctx, Tick when, PageAddr phys_page,
-                  std::uint64_t device_page, bool is_write,
-                  Fidelity fidelity) override;
+                  std::uint64_t device_page, bool is_write) override;
 
     /**
      * Checkpointable: epoch progress and per-page access counters. The
@@ -48,7 +47,7 @@ class EpochFrequencyPlacement final : public PagePlacementPolicy
 
   private:
     /** Re-place pages at an epoch boundary; bill migration traffic. */
-    void rebalance(PlacementContext &ctx, Tick when, Fidelity fidelity);
+    void rebalance(PlacementContext &ctx, Tick when);
 
     std::uint64_t stackedPages_;
     std::uint64_t totalPages_;

@@ -20,13 +20,11 @@ PageMappingPolicy::registerStats(StatRegistry &registry)
 
 Tick
 PageMappingPolicy::beginAccess(Tick now, PageAddr phys_page,
-                               std::uint32_t core, DramModule &offchip,
-                               Fidelity fidelity)
+                               std::uint32_t core, DramModule &offchip)
 {
     (void)phys_page;
     (void)core;
     (void)offchip;
-    (void)fidelity;
     return now;
 }
 

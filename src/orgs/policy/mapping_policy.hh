@@ -5,10 +5,9 @@
  *
  * A ComposedOrg pairs one mapping policy with one placement policy.
  * The mapping owns the translation state (page remap tables, PTE
- * caches) and is independently Checkpointable; the functional-
- * fidelity contract (DESIGN.md §13) holds per-policy: beginAccess()
- * updates mapping state identically at both fidelities and only bills
- * DRAM traffic (metadata walks) when the fidelity is Detailed.
+ * caches) and is independently Checkpointable. It bills its metadata
+ * walks through the DRAM module it is handed, so it needs no notion
+ * of fidelity (DESIGN.md §13): an untimed module makes the walk free.
  */
 
 #ifndef CAMEO_ORGS_POLICY_MAPPING_POLICY_HH
@@ -17,7 +16,6 @@
 #include <cstdint>
 
 #include "dram/dram_module.hh"
-#include "sim/fidelity.hh"
 #include "snapshot/snapshot.hh"
 #include "stats/registry.hh"
 #include "util/types.hh"
@@ -57,14 +55,12 @@ class PageMappingPolicy : public Checkpointable
     /**
      * Translation cost hook, called once per access before routing.
      * Policies whose translation metadata itself lives in memory (the
-     * Banshee PTE cache) update that state here — identically at both
-     * fidelities — and bill the metadata walk against @p offchip only
-     * when @p fidelity is Detailed. Returns the tick at which the data
+     * Banshee PTE cache) update that state here and bill the metadata
+     * walk against @p offchip. Returns the tick at which the data
      * access may start (== @p now for zero-cost mappings).
      */
     virtual Tick beginAccess(Tick now, PageAddr phys_page,
-                             std::uint32_t core, DramModule &offchip,
-                             Fidelity fidelity);
+                             std::uint32_t core, DramModule &offchip);
 };
 
 /**

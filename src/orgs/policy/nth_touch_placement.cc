@@ -38,8 +38,7 @@ NthTouchMigratePlacement::selectVictim()
 void
 NthTouchMigratePlacement::onAccess(PlacementContext &ctx, Tick when,
                                    PageAddr phys_page,
-                                   std::uint64_t device_page, bool is_write,
-                                   Fidelity fidelity)
+                                   std::uint64_t device_page, bool is_write)
 {
     (void)is_write;
     const std::uint64_t stamp = ++accessSeq_;
@@ -55,7 +54,7 @@ NthTouchMigratePlacement::onAccess(PlacementContext &ctx, Tick when,
         return;
     touchCount_[phys_page] = 0;
     const std::uint64_t victim_dev = selectVictim();
-    ctx.billPageSwap(when, device_page, victim_dev, fidelity);
+    ctx.billPageSwap(when, device_page, victim_dev);
     ctx.swapMapping(phys_page, ctx.physPageAt(victim_dev));
     stackedLastUse_[victim_dev] = stamp;
 }

@@ -34,8 +34,7 @@ class NthTouchMigratePlacement final : public PagePlacementPolicy
     const char *policyName() const override { return "nth-touch-migrate"; }
 
     void onAccess(PlacementContext &ctx, Tick when, PageAddr phys_page,
-                  std::uint64_t device_page, bool is_write,
-                  Fidelity fidelity) override;
+                  std::uint64_t device_page, bool is_write) override;
 
     /** Checkpointable: LRU stamps, touch counters, RNG, sequence. */
     void save(SnapshotWriter &w) const override;

@@ -66,14 +66,13 @@ OracleHeatPlacement::OracleHeatPlacement(std::uint64_t stacked_pages,
 void
 OracleHeatPlacement::onAccess(PlacementContext &ctx, Tick when,
                               PageAddr phys_page, std::uint64_t device_page,
-                              bool is_write, Fidelity fidelity)
+                              bool is_write)
 {
     (void)ctx;
     (void)when;
     (void)phys_page;
     (void)device_page;
     (void)is_write;
-    (void)fidelity;
 }
 
 bool

@@ -37,8 +37,7 @@ class OracleHeatPlacement final : public PagePlacementPolicy
 
     /** Demand accesses carry no information the oracle needs. */
     void onAccess(PlacementContext &ctx, Tick when, PageAddr phys_page,
-                  std::uint64_t device_page, bool is_write,
-                  Fidelity fidelity) override;
+                  std::uint64_t device_page, bool is_write) override;
 
     bool setPageHeat(PageHeatMap heat) override;
 

@@ -36,14 +36,13 @@ PagePlacementPolicy::setPageHeat(PageHeatMap heat)
 void
 StaticPlacement::onAccess(PlacementContext &ctx, Tick when,
                           PageAddr phys_page, std::uint64_t device_page,
-                          bool is_write, Fidelity fidelity)
+                          bool is_write)
 {
     (void)ctx;
     (void)when;
     (void)phys_page;
     (void)device_page;
     (void)is_write;
-    (void)fidelity;
 }
 
 void

@@ -8,9 +8,9 @@
  * host ComposedOrg passes in: the context exposes the geometry, the
  * mapping's translation, and billPageSwap() so the policy never
  * touches DRAM modules directly. Policies are independently
- * Checkpointable and honour the functional-fidelity contract
- * (DESIGN.md §13): identical state updates and RNG draws at both
- * fidelities, traffic billed only when Detailed.
+ * Checkpointable and need no notion of fidelity (DESIGN.md §13): a
+ * swap billed to untimed modules costs nothing, so one routine makes
+ * the same state updates and RNG draws in either phase.
  */
 
 #ifndef CAMEO_ORGS_POLICY_PLACEMENT_POLICY_HH
@@ -19,7 +19,6 @@
 #include <cstdint>
 
 #include "orgs/policy/page_heat.hh"
-#include "sim/fidelity.hh"
 #include "snapshot/snapshot.hh"
 #include "stats/registry.hh"
 #include "util/types.hh"
@@ -49,12 +48,11 @@ class PlacementContext
     virtual void swapMapping(PageAddr phys_a, PageAddr phys_b) = 0;
 
     /**
-     * Bill the 16KB of DRAM activity of one 4KB page swap (Detailed
-     * fidelity only) and count the migration.
+     * Bill the 16KB of DRAM activity of one 4KB page swap and count
+     * the migration.
      */
     virtual void billPageSwap(Tick when, std::uint64_t offchip_dev_page,
-                              std::uint64_t stacked_dev_page,
-                              Fidelity fidelity) = 0;
+                              std::uint64_t stacked_dev_page) = 0;
 
   protected:
     ~PlacementContext() = default;
@@ -85,7 +83,7 @@ class PagePlacementPolicy : public Checkpointable
      */
     virtual void onAccess(PlacementContext &ctx, Tick when,
                           PageAddr phys_page, std::uint64_t device_page,
-                          bool is_write, Fidelity fidelity) = 0;
+                          bool is_write) = 0;
 
     /** A virtual page became resident in @p frame (default: ignore). */
     virtual void onPageMapped(PlacementContext &ctx, std::uint32_t frame,
@@ -108,8 +106,7 @@ class StaticPlacement final : public PagePlacementPolicy
     const char *policyName() const override { return "static"; }
 
     void onAccess(PlacementContext &ctx, Tick when, PageAddr phys_page,
-                  std::uint64_t device_page, bool is_write,
-                  Fidelity fidelity) override;
+                  std::uint64_t device_page, bool is_write) override;
 
     /** Stateless: nothing to checkpoint. */
     void save(SnapshotWriter &w) const override;

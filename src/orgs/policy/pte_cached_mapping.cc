@@ -28,8 +28,7 @@ PteCachedPageMapping::PteCachedPageMapping(std::uint64_t total_pages,
 
 Tick
 PteCachedPageMapping::beginAccess(Tick now, PageAddr phys_page,
-                                  std::uint32_t core, DramModule &offchip,
-                                  Fidelity fidelity)
+                                  std::uint32_t core, DramModule &offchip)
 {
     std::uint64_t &slot = slots_[slotOf(core, phys_page)];
     if (slot == phys_page + 1) {
@@ -38,14 +37,10 @@ PteCachedPageMapping::beginAccess(Tick now, PageAddr phys_page,
     }
     pteMisses_.inc();
     slot = phys_page + 1;
-    if (fidelity == Fidelity::Detailed) {
-        // The mapping lives in the off-chip page tables: bill the walk
-        // as one metadata line read and serialize the data access
-        // behind it.
-        const std::uint64_t walk_line = phys_page % offchip.capacityLines();
-        return offchip.request(now, walk_line, false, kLineBytes);
-    }
-    return now;
+    // The mapping lives in the off-chip page tables: bill the walk as
+    // one metadata line read and serialize the data access behind it.
+    const std::uint64_t walk_line = phys_page % offchip.capacityLines();
+    return offchip.request(now, walk_line, false, kLineBytes);
 }
 
 void

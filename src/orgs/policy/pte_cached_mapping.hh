@@ -9,9 +9,9 @@
  * moves invalidate the cached copies on every core (the TLB-shootdown
  * analogue), which is exactly why Banshee's placement migrates rarely.
  *
- * The functional-fidelity contract holds: cache contents, hit/miss
- * counters, and shootdowns update identically at both fidelities; only
- * the walk's DRAM request is Detailed-gated.
+ * Cache contents, hit/miss counters and shootdowns never depend on
+ * the walk's timing, so an untimed off-chip module (the functional
+ * warmup, DESIGN.md §13) leaves them exactly as a timed one would.
  */
 
 #ifndef CAMEO_ORGS_POLICY_PTE_CACHED_MAPPING_HH
@@ -50,12 +50,12 @@ class PteCachedPageMapping final : public PageMappingPolicy
 
     /**
      * PTE-cache lookup for @p phys_page on @p core. A hit costs
-     * nothing; a miss installs the entry and (Detailed only) bills one
-     * off-chip page-walk line read, returning the walk's completion
-     * tick as the earliest start for the data access.
+     * nothing; a miss installs the entry and bills one off-chip
+     * page-walk line read, returning the walk's completion tick as the
+     * earliest start for the data access.
      */
     Tick beginAccess(Tick now, PageAddr phys_page, std::uint32_t core,
-                     DramModule &offchip, Fidelity fidelity) override;
+                     DramModule &offchip) override;
 
     void registerStats(StatRegistry &registry) override;
 

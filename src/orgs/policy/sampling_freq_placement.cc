@@ -42,8 +42,7 @@ SamplingFrequencyPlacement::selectVictim(PlacementContext &ctx)
 void
 SamplingFrequencyPlacement::onAccess(PlacementContext &ctx, Tick when,
                                      PageAddr phys_page,
-                                     std::uint64_t device_page,
-                                     bool is_write, Fidelity fidelity)
+                                     std::uint64_t device_page, bool is_write)
 {
     (void)is_write;
     // Epoch decay runs on every access so the window is a fixed number
@@ -53,7 +52,7 @@ SamplingFrequencyPlacement::onAccess(PlacementContext &ctx, Tick when,
         for (auto &c : count_)
             c >>= 1;
     }
-    // One RNG draw per access at BOTH fidelities (DESIGN.md §13):
+    // One RNG draw per access, whatever the tick (DESIGN.md §13):
     // counter state and every later draw stay bit-identical between
     // functional and detailed runs.
     if (rng_.next(sampleRate_) != 0)
@@ -68,7 +67,7 @@ SamplingFrequencyPlacement::onAccess(PlacementContext &ctx, Tick when,
     const PageAddr victim_phys = ctx.physPageAt(victim_dev);
     if (count_[phys_page] <= count_[victim_phys] + hotThreshold_)
         return;
-    ctx.billPageSwap(when, device_page, victim_dev, fidelity);
+    ctx.billPageSwap(when, device_page, victim_dev);
     ctx.swapMapping(phys_page, victim_phys);
 }
 

@@ -11,10 +11,10 @@
  * migration and the 16KB-per-swap replacement traffic that bloats
  * TLM-Dynamic and CAMEO's per-access swaps largely disappears.
  *
- * The functional-fidelity contract holds: the RNG is drawn identically
- * at both fidelities (one draw per access for the sampling decision,
- * probe draws only on sampled off-chip accesses), so counters,
- * migrations, and mapping state evolve bit-identically.
+ * No decision reads a tick: the RNG is drawn once per access for the
+ * sampling decision and for probes only on sampled off-chip accesses,
+ * so counters, migrations and mapping state evolve bit-identically in
+ * the functional warmup and in detailed runs (DESIGN.md §13).
  */
 
 #ifndef CAMEO_ORGS_POLICY_SAMPLING_FREQ_PLACEMENT_HH
@@ -43,8 +43,7 @@ class SamplingFrequencyPlacement final : public PagePlacementPolicy
     const char *policyName() const override { return "sampling-frequency"; }
 
     void onAccess(PlacementContext &ctx, Tick when, PageAddr phys_page,
-                  std::uint64_t device_page, bool is_write,
-                  Fidelity fidelity) override;
+                  std::uint64_t device_page, bool is_write) override;
 
     void registerStats(StatRegistry &registry) override;
 

@@ -16,6 +16,13 @@
  *    timing, no queues, and no kernel events. Roughly an order of
  *    magnitude faster per access; used to fast-forward warmup.
  *
+ * The choice is one switch, MemoryOrganization::setFidelity(), which
+ * makes the organization's DRAM modules untimed: every request returns
+ * its issue tick without touching the timing model. No access routine
+ * takes the fidelity, so each organization and policy has a single
+ * path and the functional state updates equal the detailed ones by
+ * construction.
+ *
  * WarmupPolicy selects how System spends warmupAccessesPerCore before
  * the measured region: Skip discards the records without touching any
  * state (the pre-PR-8 behaviour), Functional replays them through the
@@ -29,7 +36,7 @@
 namespace cameo
 {
 
-/** Simulation fidelity for one memory access. */
+/** Simulation fidelity of an organization's DRAM modules. */
 enum class Fidelity
 {
     Functional, ///< Architectural state only; no timing, no events.

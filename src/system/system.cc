@@ -198,6 +198,9 @@ System::runFunctionalWarmup()
         lanes[c] = {base, base};
     }
 
+    // Untimed DRAM modules for the loop: the organizations' access
+    // paths make their state updates and every request returns at once.
+    org_->setFidelity(Fidelity::Functional);
     for (std::uint64_t rec = 0; rec < warmup; ++rec) {
         for (std::size_t c = 0; c < n; ++c) {
             Lane &lane = lanes[c];
@@ -213,6 +216,7 @@ System::runFunctionalWarmup()
             functionalAccess(static_cast<std::uint32_t>(c), *lane.cur++);
         }
     }
+    org_->setFidelity(Fidelity::Detailed);
 }
 
 void
@@ -221,9 +225,9 @@ System::functionalAccess(std::uint32_t core, const Access &acc)
     // Same component order as CpuCore::step()/finishAccess(), minus all
     // timing: VM translation (page table, frame allocation, fault
     // accounting), shared L3 (tags + replacement), then the
-    // organization's access at functional fidelity for the miss — dirty
-    // writeback first, then the demand fill (write misses allocate via
-    // a read; the dirty bit lives in the L3).
+    // organization's untimed access for the miss — dirty writeback
+    // first, then the demand fill (write misses allocate via a read;
+    // the dirty bit lives in the L3).
     const Translation tr =
         vm_->translate(0, core, pageOf(acc.vaddr), acc.isWrite);
     const LineAddr phys_line =
@@ -233,11 +237,9 @@ System::functionalAccess(std::uint32_t core, const Access &acc)
     const CacheAccessResult res = llc_.access(phys_line, acc.isWrite);
     if (res.hit)
         return;
-    if (res.hasWriteback) {
-        org_->access(0, res.writebackLine, true, acc.pc, core,
-                     Fidelity::Functional);
-    }
-    org_->access(0, phys_line, false, acc.pc, core, Fidelity::Functional);
+    if (res.hasWriteback)
+        org_->access(0, res.writebackLine, true, acc.pc, core);
+    org_->access(0, phys_line, false, acc.pc, core);
 }
 
 void

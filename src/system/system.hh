@@ -216,7 +216,8 @@ class System
     void ensureWarmup();
 
     /** Batch-refilled, record-major round-robin functional replay of
-     *  the warmup prefix of every core's stream. */
+     *  the warmup prefix of every core's stream, with the
+     *  organization switched to Functional fidelity for the loop. */
     void runFunctionalWarmup();
 
     /** Full-timing warmup: cores run their warmup-length trace to
@@ -233,8 +234,8 @@ class System
      */
     void enterMeasuredRegion();
 
-    /** One record through VM -> L3 -> organization at functional
-     *  fidelity (same call order as CpuCore::finishAccess). */
+    /** One record through VM -> L3 -> organization, untimed (same
+     *  call order as CpuCore::finishAccess). */
     void functionalAccess(std::uint32_t core, const Access &acc);
 
     SystemConfig config_;

@@ -7,11 +7,11 @@
  * (trace_file.hh) replays recorded traces, which is how users with
  * real application traces (Pin, DynamoRIO, gem5) drive this simulator.
  *
- * The primary interface is batched: refill() produces a block of
- * records per virtual call, so the per-record cost on the simulation
- * hot path is a buffer read instead of a virtual dispatch (CpuCore
- * keeps a small ring it refills from; see system/cpu_core.hh). The
- * single-record next() shim remains for tests and offline tools.
+ * The interface is batched: refill() produces a block of records per
+ * virtual call, so the per-record cost on the simulation hot path is a
+ * buffer read instead of a virtual dispatch (CpuCore keeps a small
+ * ring it refills from; see system/cpu_core.hh). A one-record read is
+ * a refill of length 1.
  */
 
 #ifndef CAMEO_TRACE_ACCESS_SOURCE_HH
@@ -36,8 +36,8 @@ class AccessSource
      * exhaust: finite sources (trace files) wrap around, which matches
      * the paper's rate-mode methodology of running fixed-length
      * representative slices. Record i+1 of a batch is defined to be
-     * the record a second refill (or next()) call would have produced,
-     * so batch boundaries never change the stream.
+     * the record a second refill() call would have produced, so batch
+     * boundaries never change the stream.
      */
     virtual void refill(Access *buf, std::size_t n) = 0;
 
@@ -58,14 +58,6 @@ class AccessSource
             refill(scratch, chunk);
             n -= chunk;
         }
-    }
-
-    /** Single-record convenience wrapper over refill(). */
-    Access next()
-    {
-        Access access;
-        refill(&access, 1);
-        return access;
     }
 };
 

@@ -47,7 +47,7 @@ TEST(CameoControllerTest, StackedResidentLineServedFromStacked)
 {
     ControllerFixture f(LltKind::Ideal);
     // Slot 0 lines start in stacked memory.
-    f.org.access(0, 42, false, 0x400, 0, Fidelity::Detailed);
+    f.org.access(0, 42, false, 0x400, 0);
     EXPECT_EQ(f.org.servicedStacked().value(), 1u);
     EXPECT_EQ(f.org.servicedOffchip().value(), 0u);
     EXPECT_EQ(f.org.swaps().value(), 0u);
@@ -58,14 +58,14 @@ TEST(CameoControllerTest, OffchipAccessSwapsLineIn)
     ControllerFixture f(LltKind::Ideal);
     const std::uint64_t groups = f.org.groups().numGroups();
     const LineAddr line = groups + 42; // slot 1 of group 42: off-chip
-    f.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    f.org.access(0, line, false, 0x400, 0);
     EXPECT_EQ(f.org.servicedOffchip().value(), 1u);
     EXPECT_EQ(f.org.swaps().value(), 1u);
     // The line is now stacked-resident: second access hits stacked.
-    f.org.access(10000, line, false, 0x400, 0, Fidelity::Detailed);
+    f.org.access(10000, line, false, 0x400, 0);
     EXPECT_EQ(f.org.servicedStacked().value(), 1u);
     // And the displaced slot-0 line is now off-chip.
-    f.org.access(20000, 42, false, 0x400, 0, Fidelity::Detailed);
+    f.org.access(20000, 42, false, 0x400, 0);
     EXPECT_EQ(f.org.servicedOffchip().value(), 2u);
 }
 
@@ -76,8 +76,7 @@ TEST(CameoControllerTest, SwapIsExclusiveWithinGroup)
     // Touch all four members of group 7 in turn; the LLT entry must
     // remain a permutation and exactly one member must be stacked.
     for (std::uint32_t slot = 0; slot < 4; ++slot)
-        f.org.access(slot * 10000, slot * groups + 7, false, 0x400, 0,
-                       Fidelity::Detailed);
+        f.org.access(slot * 10000, slot * groups + 7, false, 0x400, 0);
     EXPECT_TRUE(f.org.llt().verifyGroup(7));
     int in_stacked = 0;
     for (std::uint32_t slot = 0; slot < 4; ++slot)
@@ -93,10 +92,8 @@ TEST(CameoControllerTest, EmbeddedSlowerThanCoLocatedOnStackedHit)
     // Co-Located gets LLT+data in one access (1 unit).
     ControllerFixture emb(LltKind::Embedded);
     ControllerFixture col(LltKind::CoLocated);
-    const Tick t_emb =
-        emb.org.access(0, 42, false, 0x400, 0, Fidelity::Detailed);
-    const Tick t_col =
-        col.org.access(0, 42, false, 0x400, 0, Fidelity::Detailed);
+    const Tick t_emb = emb.org.access(0, 42, false, 0x400, 0);
+    const Tick t_col = col.org.access(0, 42, false, 0x400, 0);
     EXPECT_GT(t_emb, t_col);
     EXPECT_EQ(emb.stacked.reads().value(), 2u); // LLT + data
     EXPECT_EQ(col.stacked.reads().value(), 1u); // one LEAD
@@ -110,12 +107,9 @@ TEST(CameoControllerTest, IdealFastestOnMiss)
     ControllerFixture col(LltKind::CoLocated);
     const std::uint64_t groups = ideal.org.groups().numGroups();
     const LineAddr line = groups + 7;
-    const Tick t_ideal =
-        ideal.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
-    const Tick t_emb =
-        emb.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
-    const Tick t_col =
-        col.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    const Tick t_ideal = ideal.org.access(0, line, false, 0x400, 0);
+    const Tick t_emb = emb.org.access(0, line, false, 0x400, 0);
+    const Tick t_col = col.org.access(0, line, false, 0x400, 0);
     EXPECT_LT(t_ideal, t_emb);
     EXPECT_LT(t_ideal, t_col);
 }
@@ -128,10 +122,8 @@ TEST(CameoControllerTest, CorrectPredictionParallelizesOffchipFetch)
     ControllerFixture perfect(LltKind::CoLocated, PredictorKind::Perfect);
     const std::uint64_t groups = sam.org.groups().numGroups();
     const LineAddr line = groups + 3;
-    const Tick t_sam =
-        sam.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
-    const Tick t_perfect =
-        perfect.org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    const Tick t_sam = sam.org.access(0, line, false, 0x400, 0);
+    const Tick t_perfect = perfect.org.access(0, line, false, 0x400, 0);
     EXPECT_LT(t_perfect, t_sam);
     // Neither wasted a fetch.
     EXPECT_EQ(sam.org.wastedFetches().value(), 0u);
@@ -145,10 +137,9 @@ TEST(CameoControllerTest, WrongPredictionWastesBandwidth)
     const InstAddr pc = 0x400;
     // Train the PC to location 1 via group 9, then access a line of a
     // different group whose location is 2: predicted 1, actual 2.
-    f.org.access(0, groups * 1 + 9, false, pc, 0,
-                   Fidelity::Detailed); // loc 1 trains
+    f.org.access(0, groups * 1 + 9, false, pc, 0); // loc 1 trains
     const std::uint64_t off_reads = f.offchip.reads().value();
-    f.org.access(50000, groups * 2 + 10, false, pc, 0, Fidelity::Detailed);
+    f.org.access(50000, groups * 2 + 10, false, pc, 0);
     EXPECT_EQ(f.org.wastedFetches().value(), 1u);
     // Two off-chip reads: the wasted one and the correct one.
     EXPECT_EQ(f.offchip.reads().value(), off_reads + 2);
@@ -159,8 +150,7 @@ TEST(CameoControllerTest, WritebackUpdatesInPlaceWithoutSwap)
     ControllerFixture f(LltKind::CoLocated);
     const std::uint64_t groups = f.org.groups().numGroups();
     const LineAddr offchip_line = groups + 5;
-    f.org.access(0, offchip_line, true, 0x400, 0,
-                   Fidelity::Detailed); // writeback
+    f.org.access(0, offchip_line, true, 0x400, 0); // writeback
     EXPECT_EQ(f.org.swaps().value(), 0u);
     EXPECT_EQ(f.org.llt().locationOf(5, 1), 1u); // still off-chip
     EXPECT_GT(f.offchip.writes().value(), 0u);
@@ -169,8 +159,7 @@ TEST(CameoControllerTest, WritebackUpdatesInPlaceWithoutSwap)
 TEST(CameoControllerTest, WritebackToStackedResidentLine)
 {
     ControllerFixture f(LltKind::CoLocated);
-    f.org.access(0, 5, true, 0x400, 0,
-                   Fidelity::Detailed); // slot 0: stacked
+    f.org.access(0, 5, true, 0x400, 0); // slot 0: stacked
     EXPECT_EQ(f.org.swaps().value(), 0u);
     EXPECT_GT(f.stacked.writes().value(), 0u);
     EXPECT_EQ(f.offchip.writes().value(), 0u);
@@ -182,7 +171,7 @@ TEST(CameoControllerTest, SwapTrafficBilled)
     // off-chip victim write, LEAD fill write.
     ControllerFixture f(LltKind::CoLocated);
     const std::uint64_t groups = f.org.groups().numGroups();
-    f.org.access(0, groups + 1, false, 0x400, 0, Fidelity::Detailed);
+    f.org.access(0, groups + 1, false, 0x400, 0);
     EXPECT_EQ(f.stacked.reads().value(), 1u);
     EXPECT_EQ(f.stacked.writes().value(), 1u);
     EXPECT_EQ(f.offchip.reads().value(), 1u);
@@ -203,10 +192,8 @@ TEST(CameoControllerTest, MispredictionsEitherBilledOrSquashed)
     const std::uint64_t total = f.org.groups().totalLines();
     Tick now = 0;
     for (int i = 0; i < 30000; ++i) {
-        f.org.access(now, rng.next(total), false,
-                       0x400000 + 4 * rng.next(16),
-                       static_cast<std::uint32_t>(rng.next(2)),
-                       Fidelity::Detailed);
+        f.org.access(now, rng.next(total), false, 0x400000 + 4 * rng.next(16),
+                     static_cast<std::uint32_t>(rng.next(2)));
         now += 10; // aggressive rate: some fetches must squash
     }
     const auto &pred = f.org.predictor();
@@ -226,10 +213,8 @@ TEST(CameoControllerTest, IdleMispredictionIsBilled)
     ControllerFixture f(LltKind::CoLocated, PredictorKind::Llp);
     const std::uint64_t groups = f.org.groups().numGroups();
     const InstAddr pc = 0x400;
-    f.org.access(0, groups * 1 + 9, false, pc, 0,
-                   Fidelity::Detailed); // train loc 1
-    f.org.access(1'000'000, groups * 2 + 10, false, pc, 0,
-                   Fidelity::Detailed); // idle
+    f.org.access(0, groups * 1 + 9, false, pc, 0); // train loc 1
+    f.org.access(1'000'000, groups * 2 + 10, false, pc, 0); // idle
     EXPECT_EQ(f.org.wastedFetches().value(), 1u);
     EXPECT_EQ(f.org.squashedFetches().value(), 0u);
 }
@@ -247,8 +232,8 @@ TEST(CameoControllerTest, EmbeddedLltReserveSizing)
 TEST(CameoControllerTest, EmbeddedLltLookupsCounted)
 {
     ControllerFixture f(LltKind::Embedded);
-    f.org.access(0, 3, false, 0x400, 0, Fidelity::Detailed);
-    f.org.access(1000, 4, false, 0x400, 0, Fidelity::Detailed);
+    f.org.access(0, 3, false, 0x400, 0);
+    f.org.access(1000, 4, false, 0x400, 0);
     EXPECT_EQ(f.org.llt().numGroups(),
               f.org.groups().numGroups());
     // Each demand access consulted the embedded table once.
@@ -264,8 +249,7 @@ TEST(CameoControllerTest, ManyRandomAccessesKeepInvariants)
     for (int i = 0; i < 20000; ++i) {
         const LineAddr line = rng.next(total);
         f.org.access(now, line, rng.chance(0.3), 0x400000 + 4 * rng.next(64),
-                       static_cast<std::uint32_t>(rng.next(2)),
-                       Fidelity::Detailed);
+                       static_cast<std::uint32_t>(rng.next(2)));
         now += 30;
     }
     // Spot-check permutations.

@@ -34,7 +34,7 @@ TEST(CameoFreqTest, ColdPageServicedInPlace)
     CameoOrg org(smallConfig(), /*freq_admission=*/true);
     const std::uint64_t groups = org.groups().numGroups();
     // One touch of an off-chip line: page not yet hot -> no swap.
-    org.access(0, groups + 7, false, 0x400, 0, Fidelity::Detailed);
+    org.access(0, groups + 7, false, 0x400, 0);
     EXPECT_EQ(org.swaps().value(), 0u);
     EXPECT_EQ(org.swapsFiltered().value(), 1u);
     // The line is still off-chip.
@@ -51,8 +51,7 @@ TEST(CameoFreqTest, HotPageAdmitsSwaps)
     // lines [groups + 0, groups + 63] share OS page groups/64.
     Tick now = 0;
     for (std::uint32_t i = 0; i < CameoOrg::kHotThreshold + 4; ++i) {
-        org.access(now, groups + (i % kLinesPerPage), false, 0x400, 0,
-                   Fidelity::Detailed);
+        org.access(now, groups + (i % kLinesPerPage), false, 0x400, 0);
         now += 1000;
     }
     EXPECT_GT(org.swaps().value(), 0u);
@@ -74,8 +73,8 @@ TEST(CameoFreqTest, FilterSavesVictimWriteBandwidth)
         for (std::uint32_t t = 0; t + 1 < CameoOrg::kHotThreshold;
              ++t) {
             const LineAddr line = groups + p * kLinesPerPage + t;
-            stock.access(now, line, false, 0x400, 0, Fidelity::Detailed);
-            filtered.access(now, line, false, 0x400, 0, Fidelity::Detailed);
+            stock.access(now, line, false, 0x400, 0);
+            filtered.access(now, line, false, 0x400, 0);
             now += 40;
         }
     }
@@ -90,14 +89,14 @@ TEST(CameoFreqTest, AdmitsOnlyProvenHotPagesAndRoundTrips)
     CameoOrg org(smallConfig(), /*freq_admission=*/true);
     const std::uint64_t groups = org.groups().numGroups();
     const LineAddr line = groups + 5; // slot 1 of group 5: off-chip
-    org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    org.access(0, line, false, 0x400, 0);
     EXPECT_EQ(org.swapsFiltered().value(), 1u); // cold page: no swap
     // Writebacks count toward the page's heat but never swap.
     Tick now = 1000;
     for (std::uint32_t i = 1; i < CameoOrg::kHotThreshold; ++i, now += 1000)
-        org.access(now, line, true, 0x400, 0, Fidelity::Detailed);
+        org.access(now, line, true, 0x400, 0);
     EXPECT_EQ(org.swaps().value(), 0u);
-    org.access(now, line, false, 0x400, 0, Fidelity::Detailed);
+    org.access(now, line, false, 0x400, 0);
     EXPECT_EQ(org.swaps().value(), 1u);
     EXPECT_EQ(org.hotPages().value(), 1u);
 

@@ -389,10 +389,8 @@ TEST_F(LltPropertyTest, RandomTracesPreservePermutationUnderEveryLltKind)
                 rng.chance(0.5)
                     ? rng.next(k) * num_groups + rng.next(64)
                     : rng.next(total);
-            org.access(now, line, rng.chance(0.25),
-                       0x400 + rng.next(64) * 4,
-                       static_cast<std::uint32_t>(rng.next(4)),
-                       Fidelity::Detailed);
+            org.access(now, line, rng.chance(0.25), 0x400 + rng.next(64) * 4,
+                       static_cast<std::uint32_t>(rng.next(4)));
         }
         EXPECT_GT(org.swaps().value(), 0u);
 
@@ -417,8 +415,7 @@ TEST_F(LltPropertyTest, CorruptionIsCaughtNotSilent)
     CameoOrg org(propertyConfig(LltKind::Ideal));
     const std::uint64_t groups = org.groups().numGroups();
     for (std::uint64_t g = 0; g < 64; ++g)
-        org.access(1000 * g, groups + g, false, 0x400, 0,
-                   Fidelity::Detailed);
+        org.access(1000 * g, groups + g, false, 0x400, 0);
     ASSERT_EQ(org.auditLlt(), 0u);
     AuditSink::global().reset();
 

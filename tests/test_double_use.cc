@@ -91,8 +91,8 @@ TEST(DoubleUseTest, FunctionalTwinMatchesDetailedState)
     const auto functional_org = makeOrganization(OrgKind::DoubleUse, c);
     auto &detailed = dynamic_cast<AlloyCacheOrg &>(*detailed_org);
     auto &functional = dynamic_cast<AlloyCacheOrg &>(*functional_org);
-    const std::uint64_t lines =
-        detailed.offchipModule().capacityLines();
+    functional.setFidelity(Fidelity::Functional);
+    const std::uint64_t lines = detailed.offchipModule().capacityLines();
 
     Rng rng(c.seed ^ 0x2D0B1E);
     Tick now = 0;
@@ -102,11 +102,8 @@ TEST(DoubleUseTest, FunctionalTwinMatchesDetailedState)
         const InstAddr pc = 0x400000 + rng.next(512) * 4;
         const std::uint32_t core =
             static_cast<std::uint32_t>(rng.next(c.numCores));
-        ASSERT_EQ(functional.access(now, line, is_write, pc, core,
-                                    Fidelity::Functional),
-                  now);
-        now +=
-            detailed.access(now, line, is_write, pc, core, Fidelity::Detailed);
+        ASSERT_EQ(functional.access(now, line, is_write, pc, core), now);
+        now = detailed.access(now, line, is_write, pc, core);
     }
 
     // Identical cache-architectural outcome...

@@ -13,6 +13,7 @@
 
 #include "trace/generator.hh"
 #include "trace/workloads.hh"
+#include "trace_common.hh"
 
 namespace cameo
 {
@@ -59,7 +60,7 @@ TEST(GeneratorStatsTest, ModeFractionsAreAccessShares)
         std::map<Mode, int> counts;
         const int n = 200000;
         for (int i = 0; i < n; ++i)
-            ++counts[modeOfPc(gen.next().pc)];
+            ++counts[modeOfPc(nextAccess(gen).pc)];
         EXPECT_NEAR(counts[Mode::Stream] / double(n), wl.streamFrac, 0.06)
             << name;
         EXPECT_NEAR(counts[Mode::Pointer] / double(n), wl.pointerFrac,
@@ -79,7 +80,7 @@ TEST(GeneratorStatsTest, NearReuseUsesDistinctPc)
     SyntheticGenerator gen(wl, params(), 5);
     std::set<InstAddr> stream_pcs;
     for (int i = 0; i < 100000; ++i) {
-        const Access a = gen.next();
+        const Access a = nextAccess(gen);
         if (modeOfPc(a.pc) == Mode::Stream)
             stream_pcs.insert(a.pc);
     }
@@ -101,7 +102,7 @@ TEST(GeneratorStatsTest, NoReusePcWhenDisabled)
     ASSERT_DOUBLE_EQ(wl.nearReuseFrac, 0.0);
     SyntheticGenerator gen(wl, params(64), 6);
     for (int i = 0; i < 50000; ++i) {
-        const Access a = gen.next();
+        const Access a = nextAccess(gen);
         if (modeOfPc(a.pc) == Mode::Stream) {
             ASSERT_EQ(a.pc % 4, 0u);
         }
@@ -120,7 +121,7 @@ TEST(GeneratorStatsTest, TieredLapsConcentrateReuse)
     SyntheticGenerator gen(wl, params(1024), 7);
     std::unordered_map<PageAddr, int> touches;
     for (int i = 0; i < 400000; ++i)
-        ++touches[pageOf(gen.next().vaddr)];
+        ++touches[pageOf(nextAccess(gen).vaddr)];
     int mx = 0, mn = 1 << 30;
     double sum = 0;
     for (const auto &[page, count] : touches) {
@@ -147,7 +148,7 @@ TEST(GeneratorStatsTest, ZipfScatterIsBijective)
     SyntheticGenerator gen(wl, params(256), 8);
     std::set<PageAddr> pages;
     for (int i = 0; i < 300000; ++i) {
-        const PageAddr p = pageOf(gen.next().vaddr);
+        const PageAddr p = pageOf(nextAccess(gen).vaddr);
         if (p < gen.numPages())
             pages.insert(p);
     }
@@ -160,7 +161,7 @@ TEST(GeneratorStatsTest, DependentFractionHonored)
     SyntheticGenerator gen(omnet, params(), 9);
     int pointer_accesses = 0, dependent = 0;
     for (int i = 0; i < 200000; ++i) {
-        const Access a = gen.next();
+        const Access a = nextAccess(gen);
         if (modeOfPc(a.pc) == Mode::Pointer) {
             ++pointer_accesses;
             dependent += a.dependsOnPrev;
@@ -180,7 +181,7 @@ TEST(GeneratorStatsTest, HotRegionStaysHot)
     const WorkloadProfile &wl = *findWorkload("cactusADM");
     SyntheticGenerator gen(wl, params(), 10);
     for (int i = 0; i < 100000; ++i) {
-        const Access a = gen.next();
+        const Access a = nextAccess(gen);
         if (modeOfPc(a.pc) != Mode::Hot)
             continue;
         ASSERT_GE(pageOf(a.vaddr), gen.numPages());

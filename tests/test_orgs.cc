@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "orgs/alloy_cache.hh"
 #include "orgs/baseline.hh"
@@ -83,8 +85,8 @@ TEST(OrgVisibilityTest, CapacityAccountingMatchesPaper)
 TEST(BaselineOrgTest, RoutesEverythingOffchip)
 {
     BaselineOrg org(smallConfig());
-    org.access(0, 100, false, 0x400, 0, Fidelity::Detailed);
-    org.access(10, 200, true, 0x400, 1, Fidelity::Detailed);
+    org.access(0, 100, false, 0x400, 0);
+    org.access(10, 200, true, 0x400, 1);
     EXPECT_EQ(org.offchipModule().reads().value(), 1u);
     EXPECT_EQ(org.offchipModule().writes().value(), 1u);
     EXPECT_EQ(org.stackedModule(), nullptr);
@@ -93,9 +95,9 @@ TEST(BaselineOrgTest, RoutesEverythingOffchip)
 TEST(AlloyCacheTest, MissFillHit)
 {
     AlloyCacheOrg org(smallConfig(), smallConfig().offchipBytes);
-    org.access(0, 1234, false, 0x400, 0, Fidelity::Detailed);
+    org.access(0, 1234, false, 0x400, 0);
     EXPECT_EQ(org.misses().value(), 1u);
-    org.access(100000, 1234, false, 0x400, 0, Fidelity::Detailed);
+    org.access(100000, 1234, false, 0x400, 0);
     EXPECT_EQ(org.hits().value(), 1u);
     EXPECT_DOUBLE_EQ(org.hitRate(), 0.5);
 }
@@ -103,7 +105,7 @@ TEST(AlloyCacheTest, MissFillHit)
 TEST(AlloyCacheTest, TadBurstBytes)
 {
     AlloyCacheOrg org(smallConfig(), smallConfig().offchipBytes);
-    org.access(0, 1, false, 0x400, 0, Fidelity::Detailed);
+    org.access(0, 1, false, 0x400, 0);
     // One TAD read burst (80B) on the miss path.
     EXPECT_EQ(org.stackedModule()->readBytes().value(),
               AlloyCacheOrg::kTadBurstBytes);
@@ -123,10 +125,9 @@ TEST(AlloyCacheTest, ConflictEvictsPriorLine)
     AlloyCacheOrg org(c, c.offchipBytes);
     const LineAddr a = 77;
     const LineAddr b = 77 + org.numSets(); // same set
-    org.access(0, a, false, 0x400, 0, Fidelity::Detailed);
-    org.access(1000, b, false, 0x400, 0, Fidelity::Detailed);
-    org.access(2000, a, false, 0x400, 0,
-               Fidelity::Detailed); // must miss again
+    org.access(0, a, false, 0x400, 0);
+    org.access(1000, b, false, 0x400, 0);
+    org.access(2000, a, false, 0x400, 0); // must miss again
     EXPECT_EQ(org.misses().value(), 3u);
     EXPECT_EQ(org.hits().value(), 0u);
 }
@@ -137,11 +138,10 @@ TEST(AlloyCacheTest, DirtyVictimWrittenBack)
     AlloyCacheOrg org(c, c.offchipBytes);
     const LineAddr a = 77;
     const LineAddr b = 77 + org.numSets();
-    org.access(0, a, false, 0x400, 0, Fidelity::Detailed);
-    org.access(1000, a, true, 0x400, 0,
-               Fidelity::Detailed); // writeback dirties the TAD
+    org.access(0, a, false, 0x400, 0);
+    org.access(1000, a, true, 0x400, 0); // writeback dirties the TAD
     const std::uint64_t writes = org.offchipModule().writes().value();
-    org.access(2000, b, false, 0x400, 0, Fidelity::Detailed); // evicts dirty a
+    org.access(2000, b, false, 0x400, 0); // evicts dirty a
     EXPECT_EQ(org.offchipModule().writes().value(), writes + 1);
 }
 
@@ -150,8 +150,8 @@ TEST(AlloyCacheTest, TagArrayRoundTripsThroughSnapshot)
     const OrgConfig c = smallConfig();
     AlloyCacheOrg org(c, c.offchipBytes);
     const LineAddr a = 5;
-    org.access(0, a, false, 0x400, 0, Fidelity::Detailed);
-    org.access(1000, a + 7, true, 0x400, 0, Fidelity::Detailed);
+    org.access(0, a, false, 0x400, 0);
+    org.access(1000, a + 7, true, 0x400, 0);
     const AlloyCacheOrg::TagEntry &set = org.tags()[a % org.numSets()];
     EXPECT_TRUE(set.valid && set.tag == a && !set.dirty);
     EXPECT_TRUE(org.tags()[(a + 7) % org.numSets()].dirty);
@@ -162,10 +162,9 @@ TEST(AlloyCacheTest, TagArrayRoundTripsThroughSnapshot)
     // The restored tags are live (counters are registry stats, not
     // org state): the line resident before the snapshot hits, a
     // same-set line misses.
-    fresh.access(2000, a, false, 0x400, 0, Fidelity::Detailed);
+    fresh.access(2000, a, false, 0x400, 0);
     EXPECT_EQ(fresh.hits().value(), 1u);
-    fresh.access(3000, a + org.numSets(), false, 0x400, 0,
-                 Fidelity::Detailed);
+    fresh.access(3000, a + org.numSets(), false, 0x400, 0);
     EXPECT_EQ(fresh.misses().value(), 1u);
 }
 
@@ -194,9 +193,9 @@ TEST(TlmStaticTest, RoutesByDevicePage)
     const LineAddr stacked_line = 3; // page 0
     const LineAddr offchip_line =
         (org.stackedPages() + 1) * kLinesPerPage + 3;
-    org.access(0, stacked_line, false, 0x400, 0, Fidelity::Detailed);
+    org.access(0, stacked_line, false, 0x400, 0);
     EXPECT_EQ(org.stackedModule()->reads().value(), 1u);
-    org.access(10, offchip_line, false, 0x400, 0, Fidelity::Detailed);
+    org.access(10, offchip_line, false, 0x400, 0);
     EXPECT_EQ(org.offchipModule().reads().value(), 1u);
     EXPECT_EQ(org.pageMigrations().value(), 0u);
 }
@@ -209,15 +208,15 @@ TEST(TlmDynamicTest, MigratesPageAfterThresholdTouches)
     auto &org = dynamic_cast<ComposedOrg &>(*owner);
     const PageAddr phys_page = org.stackedPages() + 5; // off-chip
     const LineAddr line = phys_page * kLinesPerPage;
-    org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    org.access(0, line, false, 0x400, 0);
     EXPECT_EQ(org.pageMigrations().value(), 0u); // first touch: no
-    org.access(1000, line + 1, false, 0x400, 0, Fidelity::Detailed);
+    org.access(1000, line + 1, false, 0x400, 0);
     EXPECT_EQ(org.pageMigrations().value(), 1u); // second: migrate
     // The page is now in stacked memory.
     EXPECT_LT(org.devicePageOf(phys_page), org.stackedPages());
     // And some stacked page was displaced off-chip (remap stays a
     // bijection: exactly one page out).
-    org.access(5000, line + 2, false, 0x400, 0, Fidelity::Detailed);
+    org.access(5000, line + 2, false, 0x400, 0);
     EXPECT_EQ(org.stackedModule()->reads().value() > 0, true);
 }
 
@@ -229,7 +228,7 @@ TEST(TlmDynamicTest, SwapBillsSixteenKilobytes)
     auto &org = dynamic_cast<ComposedOrg &>(*owner);
     const PageAddr phys_page = org.stackedPages() + 5;
     const LineAddr line = phys_page * kLinesPerPage;
-    org.access(0, line, false, 0x400, 0, Fidelity::Detailed);
+    org.access(0, line, false, 0x400, 0);
     EXPECT_EQ(org.pageMigrations().value(), 1u);
     // Section II-C: both modules read and write 4KB each.
     EXPECT_EQ(org.stackedModule()->readBytes().value(), kPageBytes);
@@ -248,8 +247,7 @@ TEST(TlmFreqTest, EpochMovesHotPageIn)
     auto &org = dynamic_cast<ComposedOrg &>(*owner);
     const PageAddr hot = org.stackedPages() + 9; // starts off-chip
     for (int i = 0; i < 64; ++i)
-        org.access(i * 100, hot * kLinesPerPage + (i % 8), false, 0x400, 0,
-                   Fidelity::Detailed);
+        org.access(i * 100, hot * kLinesPerPage + (i % 8), false, 0x400, 0);
     const auto &freq =
         dynamic_cast<const EpochFrequencyPlacement &>(org.placementPolicy());
     EXPECT_EQ(freq.epochs().value(), 1u);
@@ -316,6 +314,86 @@ TEST(CameoOrgTest, StatsRegistered)
     EXPECT_NE(reg.findCounter("llp.case1"), nullptr);
 }
 
+/** One DRAM module's checkpoint bytes: its whole timing state. */
+std::vector<std::uint8_t>
+moduleBytes(const DramModule &module)
+{
+    SnapshotWriter w;
+    w.beginSection("dram");
+    module.save(w);
+    w.endSection();
+    return w.finish();
+}
+
+TEST(OrgFidelityTest, UntimedModulesSeeNoTraffic)
+{
+    // Functional fidelity lives in the DRAM modules alone: each org's
+    // one access path, run against untimed modules, must return the
+    // request time, leave every bank, bus, queue and counter at
+    // power-on, and count no speculative fetch (whose fate is a
+    // property of queue occupancy).
+    std::size_t guarded = 0; // speculative-fetch counters checked
+    for (const TimingMode mode : {TimingMode::Blocking, TimingMode::Queued}) {
+        for (const OrgKind kind : allOrgKinds()) {
+            SCOPED_TRACE(std::string(orgKindName(kind)) +
+                         (mode == TimingMode::Queued ? " queued"
+                                                     : " blocking"));
+            OrgConfig c = smallConfig();
+            c.timingMode = mode;
+            const auto org = makeOrganization(kind, c);
+            const auto fresh = makeOrganization(kind, c);
+            StatRegistry reg;
+            org->registerStats(reg);
+            org->setFidelity(Fidelity::Functional);
+
+            const std::uint64_t lines = org->visibleBytes() / kLineBytes;
+            Rng rng(static_cast<std::uint64_t>(kind) + 300);
+            Tick now = 0;
+            for (int i = 0; i < 20000; ++i, now += 25) {
+                const LineAddr line = rng.next(lines);
+                const bool is_write = rng.chance(0.3);
+                const InstAddr pc = 0x400000 + 4 * rng.next(512);
+                const auto core =
+                    static_cast<std::uint32_t>(rng.next(c.numCores));
+                ASSERT_EQ(org->access(now, line, is_write, pc, core), now);
+            }
+
+            std::vector<std::pair<const DramModule *, const DramModule *>>
+                mods{{&org->offchipModule(), &fresh->offchipModule()}};
+            if (org->stackedModule() != nullptr)
+                mods.emplace_back(org->stackedModule(),
+                                  fresh->stackedModule());
+            for (const auto &[used, cold] : mods) {
+                EXPECT_EQ(used->reads().value(), 0u) << used->name();
+                EXPECT_EQ(used->writes().value(), 0u) << used->name();
+                EXPECT_EQ(used->readBytes().value(), 0u) << used->name();
+                EXPECT_EQ(used->writeBytes().value(), 0u) << used->name();
+                EXPECT_EQ(moduleBytes(*used), moduleBytes(*cold))
+                    << used->name();
+            }
+            for (const char *name :
+                 {"alloy.wastedFetches", "cameo.wastedFetches",
+                  "cameo.squashedFetches"}) {
+                if (const Counter *counter = reg.findCounter(name)) {
+                    ++guarded;
+                    EXPECT_EQ(counter->value(), 0u) << name;
+                }
+            }
+
+            // Back at Detailed, the next read reaches the devices.
+            org->setFidelity(Fidelity::Detailed);
+            org->access(now, rng.next(lines), false, 0x400000, 0);
+            std::uint64_t commands = 0;
+            for (const auto &mod : mods)
+                commands += mod.first->reads().value() +
+                            mod.first->writes().value();
+            EXPECT_GT(commands, 0u);
+        }
+    }
+    // Cache and DoubleUse guard one counter, CAMEO and CAMEO-Freq two.
+    EXPECT_EQ(guarded, 2u * (1 + 1 + 2 + 2));
+}
+
 TEST(OrgStressTest, RandomTrafficOnEveryOrg)
 {
     // Functional smoke: every organization survives random traffic and
@@ -335,8 +413,7 @@ TEST(OrgStressTest, RandomTrafficOnEveryOrg)
             const Tick done = org->access(now, rng.next(lines), is_write,
                                           0x400000 + 4 * rng.next(64),
                                           static_cast<std::uint32_t>(
-                                              rng.next(c.numCores)),
-                                          Fidelity::Detailed);
+                                              rng.next(c.numCores)));
             EXPECT_GE(done, now);
             if (!is_write)
                 last_read_done = done;

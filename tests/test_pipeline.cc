@@ -144,8 +144,7 @@ TEST(PipelineBlockingTest, SubmitMatchesLegacyAccessForEveryOrg)
         std::size_t expected_deliveries = 0;
         for (const TestReq &r : reqs) {
             const Tick t_legacy =
-                legacy->access(r.now, r.line, r.isWrite, r.pc, r.core,
-                               Fidelity::Detailed);
+                legacy->access(r.now, r.line, r.isWrite, r.pc, r.core);
             const Tick t_piped =
                 piped->submit(r.now, r.line, r.isWrite, r.pc, r.core,
                               r.isWrite ? kNoTag : 1,

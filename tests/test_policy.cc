@@ -81,13 +81,11 @@ class MockContext : public PlacementContext
     }
 
     void billPageSwap(Tick when, std::uint64_t offchip_dev_page,
-                      std::uint64_t stacked_dev_page,
-                      Fidelity fidelity) override
+                      std::uint64_t stacked_dev_page) override
     {
         (void)when;
         (void)offchip_dev_page;
         (void)stacked_dev_page;
-        (void)fidelity;
         ++swapsBilled;
     }
 
@@ -201,23 +199,21 @@ TEST(PteCachedMappingTest, MissInstallsThenHits)
     PteCachedPageMapping map(1024, 2, cfg);
     DramModule offchip("dram.offchip", offchipTimings(), 4ull << 20);
 
-    const Tick t0 = map.beginAccess(0, 5, 0, offchip, Fidelity::Detailed);
+    const Tick t0 = map.beginAccess(0, 5, 0, offchip);
     EXPECT_GT(t0, 0u); // the page walk costs a DRAM read
     EXPECT_EQ(map.pteMisses().value(), 1u);
     EXPECT_EQ(map.pteHits().value(), 0u);
 
-    EXPECT_EQ(map.beginAccess(100, 5, 0, offchip, Fidelity::Detailed),
-              100u); // cached: free
+    EXPECT_EQ(map.beginAccess(100, 5, 0, offchip), 100u); // cached: free
     EXPECT_EQ(map.pteHits().value(), 1u);
 
     // Another core has its own cache: same page misses there.
-    map.beginAccess(200, 5, 1, offchip, Fidelity::Detailed);
+    map.beginAccess(200, 5, 1, offchip);
     EXPECT_EQ(map.pteMisses().value(), 2u);
 
     // Direct-mapped conflict: page 5 + entries evicts page 5's slot.
-    map.beginAccess(300, 5 + cfg.pteCacheEntries, 0, offchip,
-                    Fidelity::Detailed);
-    map.beginAccess(400, 5, 0, offchip, Fidelity::Detailed);
+    map.beginAccess(300, 5 + cfg.pteCacheEntries, 0, offchip);
+    map.beginAccess(400, 5, 0, offchip);
     EXPECT_EQ(map.pteMisses().value(), 4u);
 }
 
@@ -227,9 +223,9 @@ TEST(PteCachedMappingTest, SwapShootsDownEveryCore)
     PteCachedPageMapping map(1024, 2, cfg);
     DramModule offchip("dram.offchip", offchipTimings(), 4ull << 20);
 
-    map.beginAccess(0, 5, 0, offchip, Fidelity::Detailed);
-    map.beginAccess(0, 5, 1, offchip, Fidelity::Detailed);
-    map.beginAccess(0, 9, 0, offchip, Fidelity::Detailed);
+    map.beginAccess(0, 5, 0, offchip);
+    map.beginAccess(0, 5, 1, offchip);
+    map.beginAccess(0, 9, 0, offchip);
     ASSERT_EQ(map.pteMisses().value(), 3u);
 
     map.swapMapping(5, 9);
@@ -238,9 +234,9 @@ TEST(PteCachedMappingTest, SwapShootsDownEveryCore)
     EXPECT_EQ(map.devicePageOf(9), 5u);
 
     // All cached copies of both pages were invalidated.
-    map.beginAccess(100, 5, 0, offchip, Fidelity::Detailed);
-    map.beginAccess(100, 5, 1, offchip, Fidelity::Detailed);
-    map.beginAccess(100, 9, 0, offchip, Fidelity::Detailed);
+    map.beginAccess(100, 5, 0, offchip);
+    map.beginAccess(100, 5, 1, offchip);
+    map.beginAccess(100, 9, 0, offchip);
     EXPECT_EQ(map.pteMisses().value(), 6u);
 }
 
@@ -251,18 +247,16 @@ TEST(PteCachedMappingTest, FunctionalTwinMatchesDetailedState)
     PteCachedPageMapping functional(1024, 2, cfg);
     DramModule mod_d("dram.offchip", offchipTimings(), 4ull << 20);
     DramModule mod_f("dram.offchip", offchipTimings(), 4ull << 20);
+    mod_f.setTimed(false); // as in the functional warmup
 
     Rng rng(7);
     for (int i = 0; i < 5000; ++i) {
         const PageAddr page = rng.next(1024);
-        const std::uint32_t core =
-            static_cast<std::uint32_t>(rng.next(2));
-        detailed.beginAccess(i * 10, page, core, mod_d,
-                             Fidelity::Detailed);
+        const std::uint32_t core = static_cast<std::uint32_t>(rng.next(2));
+        detailed.beginAccess(i * 10, page, core, mod_d);
         // The functional twin must make the identical state updates at
-        // tick 0 with no DRAM billing.
-        functional.beginAccess(0, page, core, mod_f,
-                               Fidelity::Functional);
+        // tick 0, its walks free and unbilled.
+        ASSERT_EQ(functional.beginAccess(0, page, core, mod_f), 0u);
         if (rng.chance(0.05)) {
             const PageAddr a = rng.next(1024);
             const PageAddr b = rng.next(1024);
@@ -271,8 +265,7 @@ TEST(PteCachedMappingTest, FunctionalTwinMatchesDetailedState)
         }
     }
     EXPECT_EQ(detailed.pteHits().value(), functional.pteHits().value());
-    EXPECT_EQ(detailed.pteMisses().value(),
-              functional.pteMisses().value());
+    EXPECT_EQ(detailed.pteMisses().value(), functional.pteMisses().value());
     EXPECT_EQ(detailed.pteShootdowns().value(),
               functional.pteShootdowns().value());
     EXPECT_GT(mod_d.reads().value(), 0u);
@@ -306,12 +299,11 @@ TEST(NthTouchPlacementTest, MatchesTlmDynamicOrgOnSameStream)
     for (int i = 0; i < 30000; ++i) {
         const LineAddr line = rng.next(total_lines);
         const bool is_write = rng.chance(0.3);
-        org.access(now, line, is_write, 0x400, 0, Fidelity::Detailed);
+        org.access(now, line, is_write, 0x400, 0);
 
         const PageAddr phys = lineToPage(line);
         const std::uint64_t dev = ctx.devicePageOf(phys);
-        policy.onAccess(ctx, now, phys, dev, is_write,
-                        Fidelity::Functional);
+        policy.onAccess(ctx, now, phys, dev, is_write);
         now += 25;
     }
     // Identical migration decisions -> identical mapping and counts.
@@ -349,11 +341,10 @@ TEST(EpochFreqPlacementTest, MatchesTlmFreqOrgOnSameStream)
             page * kLinesPerPage + rng.next(kLinesPerPage);
         ASSERT_LT(line, total_lines);
         const bool is_write = rng.chance(0.3);
-        org.access(now, line, is_write, 0x400, 0, Fidelity::Detailed);
+        org.access(now, line, is_write, 0x400, 0);
 
         const std::uint64_t dev = ctx.devicePageOf(page);
-        policy.onAccess(ctx, now, page, dev, is_write,
-                        Fidelity::Functional);
+        policy.onAccess(ctx, now, page, dev, is_write);
         now += 25;
     }
     const auto &org_policy =
@@ -427,8 +418,7 @@ TEST(SamplingFreqPlacementTest, AdmitsHotPageAndIgnoresColdTraffic)
     const PageAddr hot = kStacked + 7; // starts off-chip
     ASSERT_GE(ctx.devicePageOf(hot), kStacked);
     for (int i = 0; i < 8; ++i)
-        policy.onAccess(ctx, i * 10, hot, ctx.devicePageOf(hot), false,
-                        Fidelity::Functional);
+        policy.onAccess(ctx, i * 10, hot, ctx.devicePageOf(hot), false);
     // Sampled count beats the untouched victims: the page migrated.
     EXPECT_LT(ctx.devicePageOf(hot), kStacked);
     EXPECT_EQ(ctx.swapsBilled, 1u);
@@ -437,8 +427,7 @@ TEST(SamplingFreqPlacementTest, AdmitsHotPageAndIgnoresColdTraffic)
     // Stacked-resident traffic never swaps.
     const std::uint64_t swaps_before = ctx.swapsBilled;
     for (int i = 0; i < 100; ++i)
-        policy.onAccess(ctx, 1000 + i, hot, ctx.devicePageOf(hot), false,
-                        Fidelity::Functional);
+        policy.onAccess(ctx, 1000 + i, hot, ctx.devicePageOf(hot), false);
     EXPECT_EQ(ctx.swapsBilled, swaps_before);
 }
 
@@ -457,11 +446,11 @@ TEST(SamplingFreqPlacementTest, DeterministicAcrossFidelities)
         const PageAddr page = rng.chance(0.6) ? rng.next(16)
                                               : rng.next(kTotal);
         detailed.onAccess(ctx_d, i * 10, page, ctx_d.devicePageOf(page),
-                          false, Fidelity::Detailed);
-        functional.onAccess(ctx_f, 0, page, ctx_f.devicePageOf(page),
-                            false, Fidelity::Functional);
+                          false);
+        // The functional warmup's calls, all at tick 0.
+        functional.onAccess(ctx_f, 0, page, ctx_f.devicePageOf(page), false);
     }
-    // Identical RNG draws and counter updates at both fidelities.
+    // Identical RNG draws and counter updates whatever the tick.
     EXPECT_EQ(ctx_d.swapsBilled, ctx_f.swapsBilled);
     EXPECT_EQ(detailed.counterUpdates().value(),
               functional.counterUpdates().value());

@@ -140,8 +140,7 @@ TEST(TlmPropertyTest, RemapStaysBijective)
     const std::uint64_t lines = org.visibleBytes() / kLineBytes;
     Tick now = 0;
     for (int i = 0; i < 30000; ++i) {
-        org.access(now, rng.next(lines), rng.chance(0.3), 0x400, 0,
-                   Fidelity::Detailed);
+        org.access(now, rng.next(lines), rng.chance(0.3), 0x400, 0);
         now += 20;
     }
     // phys -> device must be a bijection.
@@ -167,8 +166,7 @@ TEST(CameoPropertyTest, EveryLineRemainsReachable)
     for (int i = 0; i < 50000; ++i) {
         org.access(now, rng.next((1 << 20) / 64), rng.chance(0.25),
                    0x400000 + 4 * rng.next(128),
-                   static_cast<std::uint32_t>(rng.next(2)),
-                   Fidelity::Detailed);
+                   static_cast<std::uint32_t>(rng.next(2)));
         now += 30;
     }
     const auto &groups = org.groups();

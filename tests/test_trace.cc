@@ -12,6 +12,7 @@
 
 #include "trace/generator.hh"
 #include "trace/workloads.hh"
+#include "trace_common.hh"
 
 namespace cameo
 {
@@ -94,7 +95,7 @@ TEST_F(GeneratorTest, DeterministicForSameSeed)
     const WorkloadProfile &wl = *findWorkload("milc");
     SyntheticGenerator a(wl, params(), 42), b(wl, params(), 42);
     for (int i = 0; i < 5000; ++i) {
-        const Access x = a.next(), y = b.next();
+        const Access x = nextAccess(a), y = nextAccess(b);
         EXPECT_EQ(x.vaddr, y.vaddr);
         EXPECT_EQ(x.pc, y.pc);
         EXPECT_EQ(x.isWrite, y.isWrite);
@@ -109,7 +110,7 @@ TEST_F(GeneratorTest, DifferentSeedsProduceDifferentStreams)
     SyntheticGenerator a(wl, params(), 1), b(wl, params(), 2);
     int same = 0;
     for (int i = 0; i < 1000; ++i)
-        same += (a.next().vaddr == b.next().vaddr);
+        same += (nextAccess(a).vaddr == nextAccess(b).vaddr);
     EXPECT_LT(same, 100);
 }
 
@@ -119,7 +120,7 @@ TEST_F(GeneratorTest, AddressesWithinFootprintPlusHotRegion)
     SyntheticGenerator gen(wl, params(), 3);
     const std::uint64_t max_page = gen.numPages() + gen.hotPages();
     for (int i = 0; i < 20000; ++i)
-        EXPECT_LT(pageOf(gen.next().vaddr), max_page);
+        EXPECT_LT(pageOf(nextAccess(gen).vaddr), max_page);
 }
 
 TEST_F(GeneratorTest, GapMeanApproximatesTarget)
@@ -129,7 +130,7 @@ TEST_F(GeneratorTest, GapMeanApproximatesTarget)
     double sum = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i)
-        sum += gen.next().gapInstructions;
+        sum += nextAccess(gen).gapInstructions;
     EXPECT_NEAR(sum / n, params().gapMeanInstructions,
                 params().gapMeanInstructions * 0.1);
 }
@@ -141,7 +142,7 @@ TEST_F(GeneratorTest, WriteFractionApproximatesProfile)
     int writes = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i)
-        writes += gen.next().isWrite;
+        writes += nextAccess(gen).isWrite;
     EXPECT_NEAR(writes / double(n), wl.writeFrac, 0.03);
 }
 
@@ -151,7 +152,7 @@ TEST_F(GeneratorTest, DependentAccessesOnlyFromPointerMode)
     const WorkloadProfile &wl = *findWorkload("libquantum");
     SyntheticGenerator gen(wl, params(), 6);
     for (int i = 0; i < 20000; ++i)
-        EXPECT_FALSE(gen.next().dependsOnPrev);
+        EXPECT_FALSE(nextAccess(gen).dependsOnPrev);
 }
 
 TEST_F(GeneratorTest, PointerHeavyWorkloadHasDependences)
@@ -160,7 +161,7 @@ TEST_F(GeneratorTest, PointerHeavyWorkloadHasDependences)
     SyntheticGenerator gen(wl, params(), 7);
     int dependent = 0;
     for (int i = 0; i < 20000; ++i)
-        dependent += gen.next().dependsOnPrev;
+        dependent += nextAccess(gen).dependsOnPrev;
     EXPECT_GT(dependent, 2000);
 }
 
@@ -170,7 +171,7 @@ TEST_F(GeneratorTest, PcPoolIsSmallAndStable)
     SyntheticGenerator gen(wl, params(), 8);
     std::set<InstAddr> pcs;
     for (int i = 0; i < 50000; ++i)
-        pcs.insert(gen.next().pc);
+        pcs.insert(nextAccess(gen).pc);
     // Stream + reuse + pointer + hot pools: dozens, not thousands.
     EXPECT_LE(pcs.size(),
               std::size_t{wl.streamPcs} * 2 + wl.pointerPcs + wl.hotPcs);
@@ -185,7 +186,7 @@ TEST_F(GeneratorTest, SpatialLocalityHonorsLinesPerPage)
     SyntheticGenerator gen(wl, params(), 9);
     std::unordered_map<PageAddr, std::set<std::uint64_t>> lines_per_page;
     for (int i = 0; i < 100000; ++i) {
-        const Access a = gen.next();
+        const Access a = nextAccess(gen);
         if (pageOf(a.vaddr) < gen.numPages()) // exclude hot region
             lines_per_page[pageOf(a.vaddr)].insert(lineOf(a.vaddr) & 63);
     }
@@ -201,7 +202,7 @@ TEST_F(GeneratorTest, TemporalReuseExists)
     int reuse = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i) {
-        const auto line = lineOf(gen.next().vaddr);
+        const auto line = lineOf(nextAccess(gen).vaddr);
         reuse += !seen.insert(line).second;
     }
     // Workloads must reuse lines heavily (caches would be useless
@@ -219,7 +220,7 @@ TEST_F(GeneratorTest, FootprintCoverageIsComplete)
     SyntheticGenerator gen(wl, gp, 11);
     std::set<PageAddr> pages;
     for (int i = 0; i < 400000; ++i) {
-        const PageAddr p = pageOf(gen.next().vaddr);
+        const PageAddr p = pageOf(nextAccess(gen).vaddr);
         if (p < gen.numPages())
             pages.insert(p);
     }

@@ -24,6 +24,7 @@
 #include "trace/generator.hh"
 #include "trace/trace_arena.hh"
 #include "trace/trace_file.hh"
+#include "trace_common.hh"
 
 namespace cameo
 {
@@ -152,10 +153,10 @@ TEST(ArenaReplayTest, SkipMatchesConsume)
         skipped.skip(skip);
         ArenaReplaySource consumed(arena);
         for (std::uint64_t i = 0; i < skip; ++i)
-            (void)consumed.next();
+            (void)nextAccess(consumed);
         for (int i = 0; i < 50; ++i) {
-            const Access a = skipped.next();
-            const Access b = consumed.next();
+            const Access a = nextAccess(skipped);
+            const Access b = nextAccess(consumed);
             ASSERT_TRUE(sameAccess(a, b)) << "skip " << skip;
         }
     }
@@ -172,7 +173,7 @@ TEST(ArenaReplayTest, SkipZeroAndSkipComposition)
     zero.skip(0);
     ArenaReplaySource plain(arena);
     for (int i = 0; i < 30; ++i)
-        ASSERT_TRUE(sameAccess(zero.next(), plain.next()));
+        ASSERT_TRUE(sameAccess(nextAccess(zero), nextAccess(plain)));
 
     // skip(w); skip(p) == skip(w + p) — the restore fast-forward path —
     // including splits that straddle checkpoints and the wrap point.
@@ -188,7 +189,7 @@ TEST(ArenaReplayTest, SkipZeroAndSkipComposition)
         ArenaReplaySource whole(arena);
         whole.skip(first + second);
         for (int i = 0; i < 30; ++i) {
-            ASSERT_TRUE(sameAccess(split.next(), whole.next()))
+            ASSERT_TRUE(sameAccess(nextAccess(split), nextAccess(whole)))
                 << first << " + " << second << " record " << i;
         }
     }
@@ -201,9 +202,9 @@ TEST(ArenaReplayTest, GeneratorSkipMatchesDiscard)
     skipped.skip(1777);
     SyntheticGenerator consumed(wl, smallParams(), 5);
     for (int i = 0; i < 1777; ++i)
-        (void)consumed.next();
+        (void)nextAccess(consumed);
     for (int i = 0; i < 100; ++i)
-        ASSERT_TRUE(sameAccess(skipped.next(), consumed.next()));
+        ASSERT_TRUE(sameAccess(nextAccess(skipped), nextAccess(consumed)));
 }
 
 // --- Cache behaviour ------------------------------------------------
@@ -266,7 +267,7 @@ TEST(ArenaCacheTest, ZeroCapDisablesCaching)
         const auto source = cache.source(wl, smallParams(), 4, 1000);
         SyntheticGenerator gen(wl, smallParams(), 4);
         for (int i = 0; i < 500; ++i)
-            ASSERT_TRUE(sameAccess(source->next(), gen.next()));
+            ASSERT_TRUE(sameAccess(nextAccess(*source), nextAccess(gen)));
         const TraceArenaStats stats = cache.stats();
         EXPECT_EQ(stats.recordings, acquires);
         EXPECT_EQ(stats.hits, 0u);
@@ -333,7 +334,7 @@ TEST(ArenaCacheTest, PersistsArenasInCacheDir)
     ArenaReplaySource a(recorded);
     ArenaReplaySource b(loaded);
     for (int i = 0; i < 2000; ++i)
-        ASSERT_TRUE(sameAccess(a.next(), b.next()));
+        ASSERT_TRUE(sameAccess(nextAccess(a), nextAccess(b)));
 }
 
 TEST(ArenaCacheTest, CorruptCacheFileIsReRecorded)
@@ -362,7 +363,7 @@ TEST(ArenaCacheTest, CorruptCacheFileIsReRecorded)
     ArenaReplaySource replay(arena);
     SyntheticGenerator gen(wl, smallParams(), 33);
     for (int i = 0; i < 2000; ++i)
-        ASSERT_TRUE(sameAccess(replay.next(), gen.next()));
+        ASSERT_TRUE(sameAccess(nextAccess(replay), nextAccess(gen)));
 }
 
 TEST(ArenaCacheTest, StaleKeyFileIsReRecorded)
@@ -397,7 +398,7 @@ TEST(ArenaCacheTest, StaleKeyFileIsReRecorded)
     ArenaReplaySource replay(arena);
     SyntheticGenerator gen(wl, smallParams(), 44);
     for (int i = 0; i < 1500; ++i)
-        ASSERT_TRUE(sameAccess(replay.next(), gen.next()));
+        ASSERT_TRUE(sameAccess(nextAccess(replay), nextAccess(gen)));
 }
 
 // --- System-level equivalence ---------------------------------------

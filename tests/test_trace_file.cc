@@ -14,6 +14,7 @@
 #include "trace/generator.hh"
 #include "trace/packed_trace.hh"
 #include "trace/trace_file.hh"
+#include "trace_common.hh"
 
 namespace cameo
 {
@@ -58,7 +59,7 @@ TEST(TraceFileTest, RoundTripPreservesRecords)
         ASSERT_TRUE(writer.good());
         SyntheticGenerator src(wl, smallParams(), 42);
         for (int i = 0; i < 5000; ++i) {
-            const Access a = src.next();
+            const Access a = nextAccess(src);
             expected.push_back(a);
             writer.append(a);
         }
@@ -70,7 +71,7 @@ TEST(TraceFileTest, RoundTripPreservesRecords)
     TraceReader reader(file.path());
     ASSERT_EQ(reader.size(), 5000u);
     for (const Access &want : expected) {
-        const Access got = reader.next();
+        const Access got = nextAccess(reader);
         ASSERT_EQ(got.pc, want.pc);
         ASSERT_EQ(got.vaddr, want.vaddr);
         ASSERT_EQ(got.gapInstructions, want.gapInstructions);
@@ -92,11 +93,11 @@ TEST(TraceFileTest, ReaderWrapsAround)
         writer.append(a);
     }
     TraceReader reader(file.path());
-    EXPECT_EQ(reader.next().vaddr, 0x2000u);
-    EXPECT_EQ(reader.next().vaddr, 0x3000u);
-    EXPECT_EQ(reader.next().vaddr, 0x2000u); // wrapped
+    EXPECT_EQ(nextAccess(reader).vaddr, 0x2000u);
+    EXPECT_EQ(nextAccess(reader).vaddr, 0x3000u);
+    EXPECT_EQ(nextAccess(reader).vaddr, 0x2000u); // wrapped
     reader.rewind();
-    EXPECT_EQ(reader.next().vaddr, 0x2000u);
+    EXPECT_EQ(nextAccess(reader).vaddr, 0x2000u);
 }
 
 TEST(TraceFileTest, RecordTraceHelper)
@@ -211,10 +212,10 @@ TEST(TraceFileTest, ReaderSkipMatchesConsume)
             skipped.skip(n);
             TraceReader consumed(file.path());
             for (std::uint64_t i = 0; i < n; ++i)
-                (void)consumed.next();
+                (void)nextAccess(consumed);
             for (int i = 0; i < 40; ++i) {
-                const Access a = skipped.next();
-                const Access b = consumed.next();
+                const Access a = nextAccess(skipped);
+                const Access b = nextAccess(consumed);
                 ASSERT_EQ(a.vaddr, b.vaddr);
                 ASSERT_EQ(a.pc, b.pc);
             }
@@ -236,8 +237,8 @@ TEST(TraceFileTest, SkipZeroIsIdentity)
         skipped.skip(0);
         TraceReader plain(file.path());
         for (int i = 0; i < 30; ++i) {
-            const Access a = skipped.next();
-            const Access b = plain.next();
+            const Access a = nextAccess(skipped);
+            const Access b = nextAccess(plain);
             ASSERT_EQ(a.vaddr, b.vaddr);
             ASSERT_EQ(a.pc, b.pc);
         }
@@ -271,8 +272,8 @@ TEST(TraceFileTest, ConsecutiveSkipsCompose)
             TraceReader whole(file.path());
             whole.skip(first + second);
             for (int i = 0; i < 30; ++i) {
-                const Access a = split.next();
-                const Access b = whole.next();
+                const Access a = nextAccess(split);
+                const Access b = nextAccess(whole);
                 ASSERT_EQ(a.vaddr, b.vaddr)
                     << first << " + " << second << " record " << i;
                 ASSERT_EQ(a.pc, b.pc)
@@ -338,7 +339,7 @@ TEST(PackedTraceTest, FileRoundTripMmap)
         ASSERT_TRUE(writer.good());
         SyntheticGenerator src(wl, smallParams(), 42);
         for (int i = 0; i < 5000; ++i) {
-            const Access a = src.next();
+            const Access a = nextAccess(src);
             expected.push_back(a);
             writer.append(a);
         }
@@ -354,7 +355,7 @@ TEST(PackedTraceTest, FileRoundTripMmap)
     EXPECT_EQ(reader.format(), TraceFormat::Packed);
     EXPECT_EQ(reader.meta(), "unit-test-meta");
     for (const Access &want : expected) {
-        const Access got = reader.next();
+        const Access got = nextAccess(reader);
         ASSERT_EQ(got.pc, want.pc);
         ASSERT_EQ(got.vaddr, want.vaddr);
         ASSERT_EQ(got.gapInstructions, want.gapInstructions);
@@ -362,7 +363,7 @@ TEST(PackedTraceTest, FileRoundTripMmap)
         ASSERT_EQ(got.dependsOnPrev, want.dependsOnPrev);
     }
     // Wraps back to the first record.
-    EXPECT_EQ(reader.next().vaddr, expected[0].vaddr);
+    EXPECT_EQ(nextAccess(reader).vaddr, expected[0].vaddr);
 }
 
 TEST(PackedTraceTest, RejectsCorruptPackedPayload)
