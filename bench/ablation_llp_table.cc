@@ -20,8 +20,8 @@ main()
     using namespace cameo::bench;
 
     SystemConfig base = benchConfig();
-    base.lltKind = LltKind::CoLocated;
-    base.predictorKind = PredictorKind::Llp;
+    base.llt.kind = LltKind::CoLocated;
+    base.llt.predictor = PredictorKind::Llp;
     const auto workloads = benchWorkloads();
 
     std::cout << "Ablation: LLP table size (per core)\n";
@@ -36,7 +36,7 @@ main()
     std::vector<DesignPoint> points{{"Baseline", OrgKind::Baseline, base}};
     for (const std::uint32_t entries : sizes) {
         SystemConfig config = base;
-        config.llpTableEntries = entries;
+        config.llt.llpTableEntries = entries;
         points.push_back(
             {"CAMEO/" + std::to_string(entries), OrgKind::Cameo, config});
     }

@@ -97,8 +97,8 @@ main()
                  "per organization\n"
               << "(" << config.accessesPerCore << " accesses x "
               << config.numCores << " cores; Banshee sample rate "
-              << config.bansheeSampleRate << ", hot threshold "
-              << config.bansheeHotThreshold << ")\n\n";
+              << config.banshee.sampleRate << ", hot threshold "
+              << config.banshee.hotThreshold << ")\n\n";
 
     const ResultMatrix matrix = runBenchMatrix(orgs, workloads);
 
@@ -159,9 +159,9 @@ main()
         << "  \"accesses_per_core\": " << config.accessesPerCore
         << ",\n"
         << "  \"num_cores\": " << config.numCores << ",\n"
-        << "  \"banshee_sample_rate\": " << config.bansheeSampleRate
+        << "  \"banshee_sample_rate\": " << config.banshee.sampleRate
         << ",\n"
-        << "  \"banshee_hot_threshold\": " << config.bansheeHotThreshold
+        << "  \"banshee_hot_threshold\": " << config.banshee.hotThreshold
         << ",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {

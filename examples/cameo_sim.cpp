@@ -1,76 +1,8 @@
 /**
  * @file
  * cameo_sim: the command-line entry point for one-off simulations —
- * the tool a downstream user reaches for first.
- *
- *   cameo_sim --org=cameo --workload=milc
- *   cameo_sim --org=cache --workload=mcf --accesses=100000 --json
- *   cameo_sim --org=cameo --llt=embedded --predictor=sam --dump-stats
- *   cameo_sim --list
- *
- * Flags:
- *   --org         any name from --list-orgs, matched case-
- *                 insensitively: baseline|cache|tlm-static|
- *                 tlm-dynamic|tlm-freq|tlm-oracle|doubleuse|cameo|
- *                 cameo-freq|banshee                      (default cameo)
- *   --workload    Table II benchmark name                  (default milc)
- *   --accesses    L3-level accesses per core (>= 1)        (default 200000)
- *   --max-steps   kernel step limit, 0 = unlimited         (default 0)
- *   --cores       number of cores                          (default 8)
- *   --stacked-mb  stacked DRAM capacity in MB              (default 8)
- *   --offchip-mb  off-chip DRAM capacity in MB             (default 24)
- *   --seed        RNG seed                                 (default 42)
- *   --llt         ideal|embedded|colocated                 (default colocated)
- *   --predictor   sam|llp|perfect                          (default llp)
- *   --llp-entries LLR entries per core                     (default 256)
- *   --timing      blocking|queued memory pipeline           (default blocking)
- *   --warmup      accesses per core consumed before measurement, in
- *                 addition to --accesses; what they do is set by
- *                 --fidelity. Must be < --accesses           (default 0)
- *   --fidelity    what the warmup prefix does (DESIGN.md §13):
- *                 skip       fast-forward the trace cursor only
- *                 functional replay through the functional access path
- *                            (exact architectural state, no timing),
- *                            then switch to detailed measurement
- *                 detailed   full-timing warmup, timing reset at the
- *                            switch (the slow reference)
- *                                                           (default skip)
- *   --switch-at   carve the first N accesses per core out of --accesses
- *                 as warmup (so the total trace length is unchanged) and
- *                 switch fidelity there; implies --fidelity=functional
- *                 unless --fidelity says otherwise. Mutually exclusive
- *                 with --warmup; must leave at least one measured
- *                 access                                     (default 0 = off)
- *   --checkpoint-at  pause after this many aggregate accesses (summed
- *                 over cores), snapshot the full simulation state to
- *                 --checkpoint-out, then continue to completion
- *                                                           (default 0 = off)
- *   --checkpoint-out snapshot path for --checkpoint-at (default cameo.snap)
- *   --restore     restore a snapshot before running: the run resumes
- *                 where the checkpoint paused and finishes bit-identical
- *                 to the uninterrupted run. The configuration must match
- *                 the snapshot's (--accesses may be larger, extending
- *                 a prefix into a longer run; --warmup must be the value
- *                 the snapshotted run used — the restored trace cursor
- *                 already sits past warmup + processed records)
- *   --refresh     model DRAM refresh (tREFI 7.8us, tRFC 350ns)
- *   --baseline    also run the baseline and report speedup
- *   --jobs        sweep-engine worker threads (0 = auto; also
- *                 CAMEO_BENCH_JOBS). With --baseline the two runs
- *                 execute concurrently.
- *   --trace-cache-dir  persist recorded access streams as packed trace
- *                 files in this directory and mmap them back on later
- *                 runs (also CAMEO_TRACE_CACHE_DIR). Stale files are
- *                 detected by an embedded key and re-recorded, never
- *                 silently replayed. Every run replays its streams
- *                 from the trace arena (DESIGN.md §10); this only
- *                 makes the recordings outlive the process.
- *   --dump-stats  print the full statistics registry
- *   --json        machine-readable stats (implies --dump-stats)
- *   --csv         CSV stats with percentiles (implies --dump-stats)
- *   --list        list workloads and exit
- *   --list-orgs   list organizations with their composed mapping and
- *                 placement policies (DESIGN.md §14) and exit
+ * the tool a downstream user reaches for first. `cameo-sim --help`
+ * prints every flag (kUsage below); an unknown flag is an error.
  */
 
 #include <iostream>
@@ -91,12 +23,91 @@ namespace
 
 using namespace cameo;
 
+/** The flag reference, printed by --help. */
+constexpr const char *kUsage = R"(usage: cameo-sim [flags]
+
+  cameo-sim --org=cameo --workload=milc
+  cameo-sim --org=cache --workload=mcf --accesses=100000 --json
+  cameo-sim --org=cameo --llt=embedded --predictor=sam --dump-stats
+  cameo-sim --list
+
+Flags:
+  --org         any name from --list-orgs, matched case-
+                insensitively: baseline|cache|tlm-static|
+                tlm-dynamic|tlm-freq|tlm-oracle|doubleuse|cameo|
+                cameo-freq|banshee                     (default cameo)
+  --workload    Table II benchmark name                 (default milc)
+  --accesses    L3-level accesses per core (>= 1)       (default 200000)
+  --max-steps   kernel step limit, 0 = unlimited        (default 0)
+  --cores       number of cores                         (default 8)
+  --stacked-mb  stacked DRAM capacity in MB             (default 8)
+  --offchip-mb  off-chip DRAM capacity in MB            (default 24)
+  --seed        RNG seed                                (default 42)
+  --llt         ideal|embedded|colocated                (default colocated)
+  --predictor   sam|llp|perfect                         (default llp)
+  --llp-entries LLR entries per core                    (default 256)
+  --timing      blocking|queued memory pipeline         (default blocking)
+  --warmup      accesses per core consumed before measurement, in
+                addition to --accesses; what they do is set by
+                --fidelity. Must be < --accesses        (default 0)
+  --fidelity    what the warmup prefix does (DESIGN.md §13):
+                skip       fast-forward the trace cursor only
+                functional replay through the functional access path
+                           (exact architectural state, no timing),
+                           then switch to detailed measurement
+                detailed   full-timing warmup, timing reset at the
+                           switch (the slow reference)
+                                                        (default skip)
+  --switch-at   carve the first N accesses per core out of --accesses
+                as warmup (so the total trace length is unchanged) and
+                switch fidelity there; implies --fidelity=functional
+                unless --fidelity says otherwise. Mutually exclusive
+                with --warmup; must leave at least one measured
+                access                                  (default 0 = off)
+  --checkpoint-at  pause after this many aggregate accesses (summed
+                over cores), snapshot the full simulation state to
+                --checkpoint-out, then continue to completion
+                                                        (default 0 = off)
+  --checkpoint-out snapshot path for --checkpoint-at  (default cameo.snap)
+  --restore     restore a snapshot before running: the run resumes
+                where the checkpoint paused and finishes bit-identical
+                to the uninterrupted run. The configuration must match
+                the snapshot's (--accesses may be larger, extending
+                a prefix into a longer run; --warmup must be the value
+                the snapshotted run used — the restored trace cursor
+                already sits past warmup + processed records)
+  --refresh     model DRAM refresh (tREFI 7.8us, tRFC 350ns)
+  --baseline    also run the baseline and report speedup
+  --jobs        sweep-engine worker threads (0 = auto; also
+                CAMEO_BENCH_JOBS). With --baseline the two runs
+                execute concurrently.
+  --trace-cache-dir  persist recorded access streams as packed trace
+                files in this directory and mmap them back on later
+                runs (also CAMEO_TRACE_CACHE_DIR). Stale files are
+                detected by an embedded key and re-recorded, never
+                silently replayed. Every run replays its streams
+                from the trace arena (DESIGN.md §10); this only
+                makes the recordings outlive the process.
+  --dump-stats  print the full statistics registry
+  --json        machine-readable stats (implies --dump-stats)
+  --csv         CSV stats with percentiles (implies --dump-stats)
+  --list        list workloads and exit
+  --list-orgs   list organizations with their composed mapping and
+                placement policies (DESIGN.md §14) and exit
+  --help        print this text and exit
+)";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const CliParser cli(argc, argv);
+
+    if (cli.has("help")) {
+        std::cout << kUsage;
+        return EXIT_SUCCESS;
+    }
 
     if (cli.getBool("list")) {
         for (const auto &wl : allWorkloads()) {
@@ -144,16 +155,16 @@ main(int argc, char **argv)
     config.offchipBytes = cli.getUint("offchip-mb", 24, UINT64_MAX >> 20)
                           << 20;
     config.seed = cli.getUint("seed", config.seed);
-    config.llpTableEntries = static_cast<std::uint32_t>(
-        cli.getUint("llp-entries", config.llpTableEntries, UINT32_MAX));
+    config.llt.llpTableEntries = static_cast<std::uint32_t>(
+        cli.getUint("llp-entries", config.llt.llpTableEntries, UINT32_MAX));
 
     const std::string llt = cli.getString("llt", "colocated");
     if (llt == "ideal")
-        config.lltKind = LltKind::Ideal;
+        config.llt.kind = LltKind::Ideal;
     else if (llt == "embedded")
-        config.lltKind = LltKind::Embedded;
+        config.llt.kind = LltKind::Embedded;
     else if (llt == "colocated")
-        config.lltKind = LltKind::CoLocated;
+        config.llt.kind = LltKind::CoLocated;
     else {
         std::cerr << "error: unknown --llt\n";
         return EXIT_FAILURE;
@@ -161,11 +172,11 @@ main(int argc, char **argv)
 
     const std::string pred = cli.getString("predictor", "llp");
     if (pred == "sam")
-        config.predictorKind = PredictorKind::Sam;
+        config.llt.predictor = PredictorKind::Sam;
     else if (pred == "llp")
-        config.predictorKind = PredictorKind::Llp;
+        config.llt.predictor = PredictorKind::Llp;
     else if (pred == "perfect")
-        config.predictorKind = PredictorKind::Perfect;
+        config.llt.predictor = PredictorKind::Perfect;
     else {
         std::cerr << "error: unknown --predictor\n";
         return EXIT_FAILURE;
@@ -257,18 +268,19 @@ main(int argc, char **argv)
     const unsigned jobs = static_cast<unsigned>(
         cli.getUint("jobs", want_baseline ? 0 : 1, UINT32_MAX));
 
-    for (const std::string &flag : cli.unknownFlags())
-        std::cerr << "warning: unknown flag --" << flag << "\n";
+    const std::vector<std::string> unknown = cli.unknownFlags();
+    for (const std::string &flag : unknown)
+        std::cerr << "error: unknown flag --" << flag << " (see --help)\n";
     for (const std::string &err : cli.errors())
         std::cerr << "error: " << err << "\n";
-    if (!cli.errors().empty())
+    if (!unknown.empty() || !cli.errors().empty())
         return EXIT_FAILURE;
 
     std::vector<OrgKind> requested = {kind};
     if (want_baseline)
         requested.push_back(OrgKind::Baseline);
     for (const OrgKind k : requested) {
-        if (const char *err = config.orgConfig().validate(k)) {
+        if (const char *err = config.validate(k)) {
             std::cerr << "error: cannot build " << orgKindName(k) << ": "
                       << err << "\n";
             return EXIT_FAILURE;

@@ -42,8 +42,8 @@ lltPredictorMatrix(const SystemConfig &base, const WorkloadProfile &wl)
              {PredictorKind::Sam, PredictorKind::Llp,
               PredictorKind::Perfect}) {
             SystemConfig c = base;
-            c.lltKind = llt;
-            c.predictorKind = pred;
+            c.llt.kind = llt;
+            c.llt.predictor = pred;
             const RunResult r = runWorkload(c, OrgKind::Cameo, wl);
             row.push_back(TextTable::cell(
                 speedup(static_cast<double>(baseline.execTime),

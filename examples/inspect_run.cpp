@@ -27,13 +27,13 @@ parseOrg(const std::string &name, cameo::SystemConfig &config)
 {
     using namespace cameo;
     if (name == "cameo-sam")
-        config.predictorKind = PredictorKind::Sam;
+        config.llt.predictor = PredictorKind::Sam;
     else if (name == "cameo-perfect")
-        config.predictorKind = PredictorKind::Perfect;
+        config.llt.predictor = PredictorKind::Perfect;
     else if (name == "cameo-ideal")
-        config.lltKind = LltKind::Ideal;
+        config.llt.kind = LltKind::Ideal;
     else if (name == "cameo-embedded")
-        config.lltKind = LltKind::Embedded;
+        config.llt.kind = LltKind::Embedded;
     else
         return orgKindFromName(name);
     return OrgKind::Cameo;

@@ -33,6 +33,9 @@ struct DramQueueConfig
 
     /** Drain target: a forced drain empties down to this depth. */
     std::uint32_t drainLowWatermark = 8;
+
+    friend bool operator==(const DramQueueConfig &,
+                           const DramQueueConfig &) = default;
 };
 
 } // namespace cameo

@@ -244,8 +244,8 @@ paperPoints(const SystemConfig &base)
     std::vector<DesignPoint> points;
     for (const PaperPoint &p : kPoints) {
         SystemConfig config = base;
-        config.lltKind = p.llt;
-        config.predictorKind = p.predictor;
+        config.llt.kind = p.llt;
+        config.llt.predictor = p.predictor;
         points.push_back({std::string(p.label), p.kind, config});
     }
     return points;

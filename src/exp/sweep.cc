@@ -1,11 +1,9 @@
 #include "exp/sweep.hh"
 
+#include <atomic>
 #include <cstdio>
-#include <deque>
 #include <exception>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -16,86 +14,6 @@
 
 namespace cameo
 {
-
-namespace
-{
-
-/**
- * Per-worker job-index deques with stealing. The owner pops from the
- * front of its own deque; an idle worker steals from the back of the
- * first non-empty victim. Jobs never spawn jobs, so once every deque
- * is empty the sweep is over and workers simply return.
- */
-class WorkStealingScheduler
-{
-  public:
-    WorkStealingScheduler(std::size_t num_jobs, unsigned workers,
-                          std::uint64_t shuffle_seed)
-        : queues_(workers)
-    {
-        std::vector<std::size_t> order(num_jobs);
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        if (shuffle_seed != 0) {
-            // Deterministic Fisher-Yates driven by the repo Rng, so a
-            // given seed always produces the same submission order.
-            Rng rng(shuffle_seed);
-            for (std::size_t i = num_jobs; i > 1; --i)
-                std::swap(order[i - 1], order[rng.next(i)]);
-        }
-        for (auto &queue : queues_)
-            queue = std::make_unique<Queue>();
-        for (std::size_t i = 0; i < order.size(); ++i)
-            queues_[i % workers]->jobs.push_back(order[i]);
-    }
-
-    /** Next job for @p worker (own queue, then stealing); false when
-     *  every queue is drained. */
-    bool
-    take(unsigned worker, std::size_t &out)
-    {
-        if (popFront(*queues_[worker], out))
-            return true;
-        for (std::size_t v = 1; v < queues_.size(); ++v) {
-            const std::size_t victim = (worker + v) % queues_.size();
-            if (popBack(*queues_[victim], out))
-                return true;
-        }
-        return false;
-    }
-
-  private:
-    struct Queue
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> jobs;
-    };
-
-    static bool
-    popFront(Queue &queue, std::size_t &out)
-    {
-        const std::lock_guard<std::mutex> lock(queue.mutex);
-        if (queue.jobs.empty())
-            return false;
-        out = queue.jobs.front();
-        queue.jobs.pop_front();
-        return true;
-    }
-
-    static bool
-    popBack(Queue &queue, std::size_t &out)
-    {
-        const std::lock_guard<std::mutex> lock(queue.mutex);
-        if (queue.jobs.empty())
-            return false;
-        out = queue.jobs.back();
-        queue.jobs.pop_back();
-        return true;
-    }
-
-    std::vector<std::unique_ptr<Queue>> queues_;
-};
-
-} // namespace
 
 unsigned
 SweepRunner::resolveJobs(unsigned requested)
@@ -134,12 +52,24 @@ SweepRunner::run(std::vector<SweepJob> jobs)
 
     std::vector<RunResult> results(jobs.size());
     std::vector<std::exception_ptr> errors(jobs.size());
-    WorkStealingScheduler scheduler(jobs.size(), workers,
-                                    options_.shuffleSeed);
 
-    const auto worker_loop = [&](unsigned worker) {
-        std::size_t idx = 0;
-        while (scheduler.take(worker, idx)) {
+    // Execution order: submission order, or a deterministic
+    // Fisher-Yates permutation of it driven by the repo Rng.
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (options_.shuffleSeed != 0) {
+        Rng rng(options_.shuffleSeed);
+        for (std::size_t i = order.size(); i > 1; --i)
+            std::swap(order[i - 1], order[rng.next(i)]);
+    }
+
+    // Jobs are whole simulations, so one shared cursor is all the
+    // scheduling a worker needs: it claims the next unstarted job
+    // until none is left.
+    std::atomic<std::size_t> next{0};
+    const auto worker_loop = [&] {
+        for (std::size_t k = next++; k < order.size(); k = next++) {
+            const std::size_t idx = order[k];
             Stopwatch watch;
             try {
                 results[idx] = jobs[idx].run();
@@ -157,12 +87,12 @@ SweepRunner::run(std::vector<SweepJob> jobs)
     Stopwatch wall;
     if (workers == 1) {
         // Serial reference path: no threads, same code path otherwise.
-        worker_loop(0);
+        worker_loop();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(worker_loop, w);
+            pool.emplace_back(worker_loop);
         for (std::thread &t : pool)
             t.join();
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing parallel sweep engine for experiment matrices.
+ * Parallel sweep engine for experiment matrices.
  *
  * Every bench runs an embarrassingly parallel matrix of independent,
  * deterministically-seeded simulations: each design point on each
@@ -15,11 +15,12 @@
  *  - Results land in a pre-sized slot per job, so assembly order is
  *    the submission order no matter which worker finishes when.
  *
- * Scheduling is work-stealing: job indices are dealt round-robin onto
- * per-worker deques; a worker pops its own queue from the front and,
- * when empty, steals from the back of a victim's queue. Long jobs
- * (capacity-limited workloads run minutes, latency-limited seconds)
- * therefore never strand idle workers behind a static partition.
+ * Scheduling is one shared cursor: each worker claims the next
+ * unstarted job from an atomic index until none is left. Jobs are
+ * whole simulations, so claiming costs nothing next to running one,
+ * and long jobs (capacity-limited workloads run minutes,
+ * latency-limited seconds) never strand idle workers behind a static
+ * partition.
  *
  * Worker count resolution: explicit SweepOptions::jobs, else the
  * CAMEO_BENCH_JOBS environment variable (strictly parsed; malformed
@@ -61,10 +62,10 @@ struct SweepOptions
     ProgressReporter *progress = nullptr;
 
     /**
-     * Non-zero: deterministically permute the submission order of the
-     * internal job queues with this seed. Results are still returned
-     * in submission order; the determinism tests use this to prove
-     * results do not depend on execution order.
+     * Non-zero: deterministically permute the order in which jobs are
+     * claimed with this seed. Results are still returned in submission
+     * order; the determinism tests use this to prove results do not
+     * depend on execution order.
      */
     std::uint64_t shuffleSeed = 0;
 };
@@ -86,7 +87,7 @@ struct SweepTelemetry
     }
 };
 
-/** Executes job lists on a work-stealing thread pool. */
+/** Executes job lists on a thread pool. */
 class SweepRunner
 {
   public:

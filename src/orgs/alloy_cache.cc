@@ -24,10 +24,8 @@ tadTimings(DramTimings t)
 
 AlloyCacheOrg::AlloyCacheOrg(const OrgConfig &config,
                              std::uint64_t backing_bytes, std::string name)
-    : MemoryOrganization(std::move(name)),
-      stacked_("dram.stacked", tadTimings(config.stacked),
-               config.stackedBytes),
-      offchip_("dram.offchip", config.offchip, backing_bytes),
+    : MemoryOrganization(std::move(name), config, backing_bytes,
+                         tadTimings(config.stacked), config.stackedBytes),
       tags_(config.stackedBytes / kLineBytes / 32 * kTadsPerRow),
       map_(std::size_t{config.numCores} * kMapEntries, 0),
       hits_("alloy.hits", "DRAM cache hits"),
@@ -37,7 +35,6 @@ AlloyCacheOrg::AlloyCacheOrg(const OrgConfig &config,
       wastedFetches_("alloy.wastedFetches",
                      "parallel off-chip fetches that were not needed")
 {
-    applyTimingConfig(config);
 }
 
 std::size_t
@@ -80,7 +77,8 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // re-referenced — stacked caches allocate on writeback).
         if (!hit && set.valid && set.dirty)
             offchip_.request(now, set.tag, true, kLineBytes);
-        const Tick done = stacked_.request(now, set_idx, true, kTadBurstBytes);
+        const Tick done =
+            stacked_->request(now, set_idx, true, kTadBurstBytes);
         set.tag = line;
         set.valid = true;
         set.dirty = true;
@@ -89,7 +87,7 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
 
     const bool pred_hit = predictHit(core, pc);
     // The TAD read doubles as tag check and (on hit) data delivery.
-    const Tick t_tad = stacked_.request(now, set_idx, false, kTadBurstBytes);
+    const Tick t_tad = stacked_->request(now, set_idx, false, kTadBurstBytes);
 
     Tick done = t_tad;
     if (hit) {
@@ -117,7 +115,7 @@ AlloyCacheOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
         // buses but are not on the demand critical path).
         if (set.valid && set.dirty)
             offchip_.request(now, set.tag, true, kLineBytes);
-        stacked_.request(now, set_idx, true, kTadBurstBytes);
+        stacked_->request(now, set_idx, true, kTadBurstBytes);
         set.tag = line;
         set.valid = true;
         set.dirty = false;
@@ -140,8 +138,7 @@ AlloyCacheOrg::hitRate() const
 void
 AlloyCacheOrg::registerStats(StatRegistry &registry)
 {
-    stacked_.registerStats(registry);
-    offchip_.registerStats(registry);
+    MemoryOrganization::registerStats(registry);
     registry.add(hits_);
     registry.add(misses_);
     registry.add(mapCorrect_);

@@ -49,17 +49,7 @@ class AlloyCacheOrg : public MemoryOrganization
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
                 std::uint32_t core) override;
 
-    std::uint64_t visibleBytes() const override
-    {
-        return offchip_.capacityBytes();
-    }
-
     void registerStats(StatRegistry &registry) override;
-
-    DramModule *stackedModule() override { return &stacked_; }
-    const DramModule *stackedModule() const override { return &stacked_; }
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
 
     /** One direct-mapped set: the resident line's tag and state. */
     struct TagEntry
@@ -94,9 +84,6 @@ class AlloyCacheOrg : public MemoryOrganization
     bool predictHit(std::uint32_t core, InstAddr pc) const;
     void trainPredictor(std::uint32_t core, InstAddr pc, bool hit);
     std::size_t mapIndex(std::uint32_t core, InstAddr pc) const;
-
-    DramModule stacked_;
-    DramModule offchip_;
 
     /** Direct-mapped TAD tags, one per set (co-located with the data
      *  in the stacked row). */

@@ -4,10 +4,9 @@ namespace cameo
 {
 
 BaselineOrg::BaselineOrg(const OrgConfig &config)
-    : MemoryOrganization("Baseline"),
-      offchip_("dram.offchip", config.offchip, config.offchipBytes)
+    : MemoryOrganization("Baseline", config, config.offchipBytes,
+                         config.stacked, /*stacked_bytes=*/0)
 {
-    applyTimingConfig(config);
 }
 
 Tick
@@ -19,12 +18,6 @@ BaselineOrg::access(Tick now, LineAddr line, bool is_write, InstAddr pc,
     // Off-chip DRAM holds every line and keeps no architectural state;
     // an access only advances timing.
     return offchip_.request(now, line, is_write, kLineBytes);
-}
-
-void
-BaselineOrg::registerStats(StatRegistry &registry)
-{
-    offchip_.registerStats(registry);
 }
 
 } // namespace cameo

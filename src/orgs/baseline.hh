@@ -21,19 +21,6 @@ class BaselineOrg : public MemoryOrganization
 
     Tick access(Tick now, LineAddr line, bool is_write, InstAddr pc,
                 std::uint32_t core) override;
-
-    std::uint64_t visibleBytes() const override
-    {
-        return offchip_.capacityBytes();
-    }
-
-    void registerStats(StatRegistry &registry) override;
-
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
-
-  private:
-    DramModule offchip_;
 };
 
 } // namespace cameo

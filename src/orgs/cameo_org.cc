@@ -99,10 +99,10 @@ CameoOrg::CameoOrg(const OrgConfig &config, bool freq_admission)
     : MemoryOrganization(freq_admission
                              ? "CAMEO-Freq"
                              : variantName(config.llt.kind,
-                                           config.llt.predictor)),
-      stacked_("dram.stacked", stackedTimingsFor(config),
-               stackedModuleBytes(config)),
-      offchip_("dram.offchip", config.offchip, config.offchipBytes),
+                                           config.llt.predictor),
+                         config, config.offchipBytes,
+                         stackedTimingsFor(config),
+                         stackedModuleBytes(config)),
       lltKind_(config.llt.kind),
       groups_(dataLines(config),
               (config.stackedBytes + config.offchipBytes) / kLineBytes),
@@ -139,8 +139,7 @@ CameoOrg::CameoOrg(const OrgConfig &config, bool freq_admission)
     // reserved region, which stackedModuleBytes added).
     assert(offchip_.capacityLines() >=
            (groups_.groupSize() - 1) * groups_.numGroups());
-    assert(stacked_.capacityLines() >= dataLines(config));
-    applyTimingConfig(config);
+    assert(stacked_->capacityLines() >= dataLines(config));
 }
 
 Tick
@@ -219,11 +218,11 @@ CameoOrg::writeback(Tick now, std::uint64_t group, std::uint32_t loc)
     //    access folded into the write drain (for Co-Located it is the
     //    read half of the LEAD read-modify-write).
     if (lltKind_ != LltKind::Ideal)
-        stacked_.request(now, stackedDataLine(group), true, stackedBurst());
+        stacked_->request(now, stackedDataLine(group), true, stackedBurst());
 
     if (loc == 0)
-        return stacked_.request(now, stackedDataLine(group), true,
-                               stackedBurst());
+        return stacked_->request(now, stackedDataLine(group), true,
+                                 stackedBurst());
     return offchip_.request(now, groups_.offchipLineOf(group, loc), true,
                            kLineBytes);
 }
@@ -236,13 +235,13 @@ CameoOrg::swapIn(Tick when, std::uint64_t group, std::uint32_t slot,
     // Read the outgoing stacked resident unless the caller already has
     // it (Co-Located: the LEAD read returned it).
     if (!victim_in_hand)
-        stacked_.request(when, stackedDataLine(group), false, stackedBurst());
+        stacked_->request(when, stackedDataLine(group), false, stackedBurst());
     // Victim takes the incoming line's old off-chip location.
     offchip_.request(when, groups_.offchipLineOf(group, loc), true,
                      kLineBytes);
     // Incoming line is installed in the group's stacked slot (the LEAD
     // write also refreshes the co-located location entry).
-    stacked_.request(when, stackedDataLine(group), true, stackedBurst());
+    stacked_->request(when, stackedDataLine(group), true, stackedBurst());
 
     const std::uint32_t victim_slot = llt_.slotAt(group, 0);
     llt_.swapSlots(group, slot, victim_slot);
@@ -254,8 +253,8 @@ CameoOrg::accessIdeal(Tick now, std::uint64_t group, std::uint32_t slot,
                       std::uint32_t loc)
 {
     if (loc == 0) {
-        return stacked_.request(now, stackedDataLine(group), false,
-                                kLineBytes);
+        return stacked_->request(now, stackedDataLine(group), false,
+                                 kLineBytes);
     }
     const Tick done = offchip_.request(
         now, groups_.offchipLineOf(group, loc), false, kLineBytes);
@@ -272,19 +271,19 @@ CameoOrg::accessEmbedded(Tick now, std::uint64_t group, std::uint32_t slot,
 {
     // Serial LLT lookup from the reserved stacked region.
     const Tick t_llt =
-        stacked_.request(now, lltLine(group), false, kLineBytes);
+        stacked_->request(now, lltLine(group), false, kLineBytes);
     lltLookups_.inc();
 
     if (loc == 0) {
-        return stacked_.request(t_llt, stackedDataLine(group), false,
-                                kLineBytes);
+        return stacked_->request(t_llt, stackedDataLine(group), false,
+                                 kLineBytes);
     }
     const Tick done = offchip_.request(
         t_llt, groups_.offchipLineOf(group, loc), false, kLineBytes);
     if (shouldSwap(group, slot)) {
         swapIn(t_llt, group, slot, loc, /*victim_in_hand=*/false);
         // The swap moved lines, so the LLT entry must be rewritten.
-        stacked_.request(t_llt, lltLine(group), true, kLineBytes);
+        stacked_->request(t_llt, lltLine(group), true, kLineBytes);
     }
     return done;
 }
@@ -295,8 +294,8 @@ CameoOrg::accessCoLocated(Tick now, std::uint64_t group, std::uint32_t slot,
 {
     // The LEAD read is the LLT lookup; it also returns the data of
     // whatever line currently occupies the group's stacked slot.
-    const Tick t_lead = stacked_.request(now, stackedDataLine(group), false,
-                                         stackedBurst());
+    const Tick t_lead = stacked_->request(now, stackedDataLine(group), false,
+                                          stackedBurst());
 
     const std::uint32_t pred = predictor_.predict(core, pc, loc);
     if (pred != 0 && pred != loc && offchip_.timed()) {
@@ -349,8 +348,7 @@ CameoOrg::auditLlt() const
 void
 CameoOrg::registerStats(StatRegistry &registry)
 {
-    stacked_.registerStats(registry);
-    offchip_.registerStats(registry);
+    MemoryOrganization::registerStats(registry);
     registry.add(servicedStacked_);
     registry.add(servicedOffchip_);
     registry.add(swaps_);

@@ -90,11 +90,6 @@ class CameoOrg : public MemoryOrganization
 
     void registerStats(StatRegistry &registry) override;
 
-    DramModule *stackedModule() override { return &stacked_; }
-    const DramModule *stackedModule() const override { return &stacked_; }
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
-
     const CameoOrg *cameo() const override { return this; }
 
     /** Display name for a CAMEO design point, e.g. "CAMEO(CoLocated+LLP)". */
@@ -188,8 +183,6 @@ class CameoOrg : public MemoryOrganization
     Tick accessCoLocated(Tick now, std::uint64_t group, std::uint32_t slot,
                          std::uint32_t loc, InstAddr pc, std::uint32_t core);
 
-    DramModule stacked_;
-    DramModule offchip_;
     LltKind lltKind_;
     CongruenceGroups groups_;
     LineLocationTable llt_;

@@ -15,9 +15,8 @@ namespace cameo
 ComposedOrg::ComposedOrg(const OrgConfig &config, std::string name,
                          std::unique_ptr<PageMappingPolicy> mapping,
                          std::unique_ptr<PagePlacementPolicy> placement)
-    : MemoryOrganization(std::move(name)),
-      stacked_("dram.stacked", config.stacked, config.stackedBytes),
-      offchip_("dram.offchip", config.offchip, config.offchipBytes),
+    : MemoryOrganization(std::move(name), config, config.offchipBytes,
+                         config.stacked, config.stackedBytes),
       stackedPages_(config.stackedBytes / kPageBytes),
       totalPages_((config.stackedBytes + config.offchipBytes) / kPageBytes),
       servicedStacked_("tlm.servicedStacked",
@@ -29,7 +28,6 @@ ComposedOrg::ComposedOrg(const OrgConfig &config, std::string name,
 {
     assert(stackedPages_ != 0 && totalPages_ > stackedPages_);
     assert(mapping_ != nullptr && placement_ != nullptr);
-    applyTimingConfig(config);
 }
 
 ComposedOrg::~ComposedOrg() = default;
@@ -42,9 +40,9 @@ ComposedOrg::routeLine(Tick now, std::uint64_t device_page,
     const bool stacked = inStacked(device_page);
     (stacked ? servicedStacked_ : servicedOffchip_).inc();
     if (stacked) {
-        return stacked_.request(now,
-                               device_page * kLinesPerPage + line_in_page,
-                               is_write, kLineBytes);
+        return stacked_->request(now,
+                                 device_page * kLinesPerPage + line_in_page,
+                                 is_write, kLineBytes);
     }
     const std::uint64_t off_line =
         (device_page - stackedPages_) * kLinesPerPage + line_in_page;
@@ -81,9 +79,9 @@ ComposedOrg::billPageSwap(Tick when, std::uint64_t offchip_dev_page,
     for (std::uint32_t i = 0; i < kLinesPerPage; ++i) {
         // Page coming in: read off-chip, write stacked.
         offchip_.request(when, off_base + i, false, kLineBytes);
-        stacked_.request(when, stk_base + i, true, kLineBytes);
+        stacked_->request(when, stk_base + i, true, kLineBytes);
         // Victim going out: read stacked, write off-chip.
-        stacked_.request(when, stk_base + i, false, kLineBytes);
+        stacked_->request(when, stk_base + i, false, kLineBytes);
         offchip_.request(when, off_base + i, true, kLineBytes);
     }
     pageMigrations_.inc();
@@ -105,8 +103,7 @@ ComposedOrg::setPageHeat(PageHeatMap heat)
 void
 ComposedOrg::registerStats(StatRegistry &registry)
 {
-    stacked_.registerStats(registry);
-    offchip_.registerStats(registry);
+    MemoryOrganization::registerStats(registry);
     registry.add(servicedStacked_);
     registry.add(servicedOffchip_);
     registry.add(pageMigrations_);

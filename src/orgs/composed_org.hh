@@ -3,12 +3,12 @@
  * ComposedOrg: a two-level organization assembled from one
  * PageMappingPolicy and one PagePlacementPolicy (DESIGN.md §14).
  *
- * The driver owns the DRAM modules and the demand-routing path:
- * translate the OS-physical page through the mapping, service the line
- * from the right module, then let the placement react (possibly
- * swapping pages through the PlacementContext interface this class
- * implements). makeOrganization() builds the TLM family and Banshee as
- * instances of this driver with different policy pairs.
+ * This class owns the demand-routing path over the base class's two
+ * DRAM modules: translate the OS-physical page through the mapping,
+ * service the line from the right module, then let the placement react
+ * (possibly swapping pages through the PlacementContext interface this
+ * class implements). makeOrganization() builds the TLM family and
+ * Banshee as instances of it with different policy pairs.
  */
 
 #ifndef CAMEO_ORGS_COMPOSED_ORG_HH
@@ -38,15 +38,10 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
 
     std::uint64_t visibleBytes() const override
     {
-        return stacked_.capacityBytes() + offchip_.capacityBytes();
+        return stacked_->capacityBytes() + offchip_.capacityBytes();
     }
 
     void registerStats(StatRegistry &registry) override;
-
-    DramModule *stackedModule() override { return &stacked_; }
-    const DramModule *stackedModule() const override { return &stacked_; }
-    DramModule &offchipModule() override { return offchip_; }
-    const DramModule &offchipModule() const override { return offchip_; }
 
     /** PlacementContext: geometry and mapping access for the policies. */
     std::uint64_t stackedPages() const override { return stackedPages_; }
@@ -111,8 +106,6 @@ class ComposedOrg : public MemoryOrganization, public PlacementContext
     Tick routeLine(Tick now, std::uint64_t device_page,
                    std::uint32_t line_in_page, bool is_write);
 
-    DramModule stacked_;
-    DramModule offchip_;
     std::uint64_t stackedPages_;
     std::uint64_t totalPages_;
 

@@ -19,7 +19,37 @@
 namespace cameo
 {
 
+MemoryOrganization::MemoryOrganization(std::string name,
+                                       const OrgConfig &config,
+                                       std::uint64_t offchip_bytes,
+                                       const DramTimings &stacked_timings,
+                                       std::uint64_t stacked_bytes)
+    : offchip_("dram.offchip", config.offchip, offchip_bytes),
+      name_(std::move(name))
+{
+    if (stacked_bytes != 0) {
+        stacked_.emplace("dram.stacked", stacked_timings, stacked_bytes);
+        stacked_->setTimingMode(config.timingMode, config.dramQueues);
+    }
+    offchip_.setTimingMode(config.timingMode, config.dramQueues);
+#if CAMEO_AUDIT_ENABLED
+    // The event queue fires in tick order, so queued-mode deliveries
+    // are monotone; blocking completions fire in submission order with
+    // freely interleaved ticks.
+    queueAudit_.setMonotonicDelivery(config.timingMode ==
+                                     TimingMode::Queued);
+#endif
+}
+
 MemoryOrganization::~MemoryOrganization() = default;
+
+void
+MemoryOrganization::registerStats(StatRegistry &registry)
+{
+    if (stacked_)
+        stacked_->registerStats(registry);
+    offchip_.registerStats(registry);
+}
 
 Tick
 MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
@@ -35,12 +65,12 @@ MemoryOrganization::submit(Tick now, LineAddr line, bool is_write,
     req.core = core;
     req.issueTick = now;
 
-    assert(offchipModule().timed() && "submit() is the timed entry point");
+    assert(offchip_.timed() && "submit() is the timed entry point");
     const Tick done = access(now, line, is_write, pc, core);
 #if CAMEO_AUDIT_ENABLED
     queueAudit_.onSubmit(req.id, now);
 #endif
-    if (timingMode_ == TimingMode::Queued && events_ != nullptr &&
+    if (timingMode() == TimingMode::Queued && events_ != nullptr &&
         client != nullptr) {
         std::uint32_t slot;
         if (freeInflight_.empty()) {
@@ -116,9 +146,9 @@ MemoryOrganization::save(SnapshotWriter &w) const
         w.u64(f->req.issueTick);
         w.u64(f->done);
     }
-    if (const DramModule *stacked = stackedModule())
-        stacked->save(w);
-    offchipModule().save(w);
+    if (stacked_)
+        stacked_->save(w);
+    offchip_.save(w);
 }
 
 void
@@ -152,7 +182,7 @@ MemoryOrganization::restore(SnapshotReader &r)
         inflight_.push_back(f);
     }
     if (r.ok() && !inflight_.empty() &&
-        timingMode_ != TimingMode::Queued) {
+        timingMode() != TimingMode::Queued) {
         r.fail("org: snapshot carries in-flight requests but this "
                "organization uses Blocking timing");
         return;
@@ -163,9 +193,9 @@ MemoryOrganization::restore(SnapshotReader &r)
     for (const InflightRequest &f : inflight_)
         queueAudit_.onSubmit(f.req.id, f.req.issueTick);
 #endif
-    if (DramModule *stacked = stackedModule())
-        stacked->restore(r);
-    offchipModule().restore(r);
+    if (stacked_)
+        stacked_->restore(r);
+    offchip_.restore(r);
 }
 
 void
@@ -190,28 +220,12 @@ MemoryOrganization::rescheduleInflight(
 }
 
 void
-MemoryOrganization::applyTimingConfig(const OrgConfig &config)
-{
-    timingMode_ = config.timingMode;
-    if (DramModule *stacked = stackedModule())
-        stacked->setTimingMode(config.timingMode, config.queues);
-    offchipModule().setTimingMode(config.timingMode, config.queues);
-#if CAMEO_AUDIT_ENABLED
-    // The event queue fires in tick order, so queued-mode deliveries
-    // are monotone; blocking completions fire in submission order with
-    // freely interleaved ticks.
-    queueAudit_.setMonotonicDelivery(config.timingMode ==
-                                     TimingMode::Queued);
-#endif
-}
-
-void
 MemoryOrganization::setFidelity(Fidelity fidelity)
 {
     const bool timed = fidelity == Fidelity::Detailed;
-    if (DramModule *stacked = stackedModule())
-        stacked->setTimed(timed);
-    offchipModule().setTimed(timed);
+    if (stacked_)
+        stacked_->setTimed(timed);
+    offchip_.setTimed(timed);
 }
 
 void
@@ -220,9 +234,9 @@ MemoryOrganization::resetTiming()
     assert(inflightCount() == 0 &&
            "drain in-flight transactions before a timing reset");
     lastRequestId_ = 0;
-    if (DramModule *stacked = stackedModule())
-        stacked->reset();
-    offchipModule().reset();
+    if (stacked_)
+        stacked_->reset();
+    offchip_.reset();
 #if CAMEO_AUDIT_ENABLED
     // Request ids and delivery ticks restart with the cores' clocks.
     queueAudit_.reset();

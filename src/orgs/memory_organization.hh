@@ -3,12 +3,15 @@
  * MemoryOrganization: the interface every stacked-DRAM usage model
  * implements, plus the factory used by System and the benches.
  *
- * An organization owns its DRAM module(s), decides how OS-physical line
- * addresses map onto devices, and models the timing of each access. It
- * also reports the OS-visible capacity it exposes — the property that
- * separates a cache (stacked DRAM invisible) from TLM/CAMEO (visible),
- * and therefore drives the page-fault behaviour of Capacity-Limited
- * workloads.
+ * The base class builds and owns the two DRAM modules every design
+ * drives (Table I's stacked and off-chip DRAM; Baseline has no stacked
+ * one), sets their timing mode and queue geometry, and registers their
+ * statistics. A concrete organization decides how OS-physical line
+ * addresses map onto those devices and models the timing of each
+ * access. It also reports the OS-visible capacity it exposes — the
+ * property that separates a cache (stacked DRAM invisible) from
+ * TLM/CAMEO (visible), and therefore drives the page-fault behaviour of
+ * Capacity-Limited workloads.
  *
  * Each organization has one access routine, access(), that makes its
  * architectural state updates and issues its DRAM requests. Fidelity
@@ -128,7 +131,7 @@ struct OrgConfig
     TimingMode timingMode = TimingMode::Blocking;
 
     /** DRAM controller queue geometry (Queued timing only). */
-    DramQueueConfig queues;
+    DramQueueConfig dramQueues;
 
     /**
      * First violated constraint across the shared fields, every policy
@@ -226,21 +229,35 @@ class MemoryOrganization : public Checkpointable
     }
 
     /** The pipeline timing mode this organization was built with. */
-    TimingMode timingMode() const { return timingMode_; }
+    TimingMode timingMode() const { return offchip_.timingMode(); }
 
-    /** OS-visible memory capacity in bytes (whole pages). */
-    virtual std::uint64_t visibleBytes() const = 0;
+    /**
+     * OS-visible memory capacity in bytes (whole pages). The default is
+     * the off-chip capacity: stacked DRAM used as a cache (or absent)
+     * adds none.
+     */
+    virtual std::uint64_t visibleBytes() const
+    {
+        return offchip_.capacityBytes();
+    }
 
-    /** Register the organization's statistics. */
-    virtual void registerStats(StatRegistry &registry) = 0;
+    /**
+     * Register the organization's statistics: the stacked module's,
+     * then the off-chip module's. Overrides call this first and then
+     * add their own.
+     */
+    virtual void registerStats(StatRegistry &registry);
 
     /** Stacked module, if this organization has one. */
-    virtual DramModule *stackedModule() { return nullptr; }
-    virtual const DramModule *stackedModule() const { return nullptr; }
+    DramModule *stackedModule() { return stacked_ ? &*stacked_ : nullptr; }
+    const DramModule *stackedModule() const
+    {
+        return stacked_ ? &*stacked_ : nullptr;
+    }
 
     /** Off-chip module (every organization has one). */
-    virtual DramModule &offchipModule() = 0;
-    virtual const DramModule &offchipModule() const = 0;
+    DramModule &offchipModule() { return offchip_; }
+    const DramModule &offchipModule() const { return offchip_; }
 
     /**
      * Hook: a virtual page became resident in @p frame. TLM-Oracle uses
@@ -290,17 +307,24 @@ class MemoryOrganization : public Checkpointable
     const std::string &name() const { return name_; }
 
   protected:
-    explicit MemoryOrganization(std::string name) : name_(std::move(name)) {}
-
     /**
-     * Adopt @p config's timing mode: stores it and pushes the mode and
-     * queue geometry into this organization's DRAM modules. Concrete
-     * organizations call this at the end of their constructor bodies
-     * (after the modules exist and the virtual module accessors
-     * resolve), and before System registers stats — queued-only DRAM
-     * statistics register conditionally on the mode.
+     * Build the off-chip module ("dram.offchip", @p config.offchip
+     * timings, @p offchip_bytes) and, unless @p stacked_bytes is 0,
+     * the stacked module ("dram.stacked", @p stacked_timings,
+     * @p stacked_bytes), both at @p config's timing mode and queue
+     * geometry. Designs that reshape a device pass their own sizes and
+     * timings (Alloy's TAD rows and enlarged backing memory, CAMEO's
+     * Embedded LLT region).
      */
-    void applyTimingConfig(const OrgConfig &config);
+    MemoryOrganization(std::string name, const OrgConfig &config,
+                       std::uint64_t offchip_bytes,
+                       const DramTimings &stacked_timings,
+                       std::uint64_t stacked_bytes);
+
+    /** Stacked DRAM; empty for Baseline. DramModule cannot move, so
+     *  the constructor emplaces it. */
+    std::optional<DramModule> stacked_;
+    DramModule offchip_;
 
   private:
     /**
@@ -321,7 +345,6 @@ class MemoryOrganization : public Checkpointable
     void completeInflight(std::uint32_t slot, Tick when);
 
     std::string name_;
-    TimingMode timingMode_ = TimingMode::Blocking;
     EventQueue *events_ = nullptr;
     std::uint64_t lastRequestId_ = 0;
 

@@ -34,30 +34,6 @@ SystemConfig::generatorParamsFor(const WorkloadProfile &profile) const
     return params;
 }
 
-OrgConfig
-SystemConfig::orgConfig() const
-{
-    OrgConfig oc;
-    oc.stackedBytes = stackedBytes;
-    oc.offchipBytes = offchipBytes;
-    oc.stacked = stacked;
-    oc.offchip = offchip;
-    oc.numCores = numCores;
-    oc.seed = seed;
-    oc.llt.kind = lltKind;
-    oc.llt.predictor = predictorKind;
-    oc.llt.llpTableEntries = llpTableEntries;
-    oc.freq.epochAccesses = freqEpochAccesses;
-    oc.migrate.victimProbes = tlmVictimProbes;
-    oc.migrate.migrateThreshold = tlmMigrateThreshold;
-    oc.banshee.sampleRate = bansheeSampleRate;
-    oc.banshee.hotThreshold = bansheeHotThreshold;
-    oc.banshee.pteCacheEntries = bansheePteCacheEntries;
-    oc.timingMode = timingMode;
-    oc.queues = dramQueues;
-    return oc;
-}
-
 SystemConfig
 defaultConfig()
 {
@@ -113,7 +89,7 @@ tinyConfig()
     c.l3Ways = 8;
     c.l3HitLatency = 24;
     c.accessesPerCore = 20'000;
-    c.freqEpochAccesses = 4096;
+    c.freq.epochAccesses = 4096;
     // 2 cores: keep the paper's 4-cores-per-off-chip-channel ratio as
     // closely as the minimum of one channel allows.
     c.stacked.channels = 2;

@@ -11,6 +11,11 @@
  * Table I timing parameters. paperConfig() builds the full-size
  * configuration for capacity-math tests; tinyConfig() is for unit
  * tests.
+ *
+ * A SystemConfig is an OrgConfig: the memories, core count, seed,
+ * timing mode, DRAM queues and per-policy design points are declared
+ * once, in orgs/memory_organization.hh, and System builds its
+ * organization straight from this config.
  */
 
 #ifndef CAMEO_SYSTEM_CONFIG_HH
@@ -20,7 +25,6 @@
 #include <functional>
 #include <memory>
 
-#include "dram/timings.hh"
 #include "orgs/memory_organization.hh"
 #include "sim/fidelity.hh"
 #include "trace/access_source.hh"
@@ -32,11 +36,9 @@ namespace cameo
 {
 
 /** Full description of one simulated system. */
-struct SystemConfig
+struct SystemConfig : OrgConfig
 {
-    // --- Processor ---------------------------------------------------
-    std::uint32_t numCores = 8;
-
+    // --- Processor (numCores is OrgConfig's) -------------------------
     /** Cycles per non-memory instruction (2-wide core: 0.5). */
     double cyclesPerInstruction = 0.5;
 
@@ -57,37 +59,8 @@ struct SystemConfig
      */
     Tick l3HitStall = 6;
 
-    // --- Memories (Table I, scaled) ----------------------------------
-    std::uint64_t stackedBytes = 8ull << 20;
-    std::uint64_t offchipBytes = 24ull << 20;
-    DramTimings stacked = stackedTimings();
-    DramTimings offchip = offchipTimings();
-
     // --- Storage -----------------------------------------------------
     Tick pageFaultLatency = 100'000;
-
-    // --- Memory pipeline ---------------------------------------------
-    /**
-     * Timing mode for the memory pipeline (DESIGN.md §9): Blocking is
-     * the original synchronous model (bit-identical statistics);
-     * Queued models DRAM controller queues and event-delivered miss
-     * completions, i.e. real queuing contention.
-     */
-    TimingMode timingMode = TimingMode::Blocking;
-
-    /** DRAM controller queue geometry (Queued timing only). */
-    DramQueueConfig dramQueues;
-
-    // --- CAMEO / TLM design points -----------------------------------
-    LltKind lltKind = LltKind::CoLocated;
-    PredictorKind predictorKind = PredictorKind::Llp;
-    std::uint32_t llpTableEntries = 256;
-    std::uint64_t freqEpochAccesses = 64 * 1024;
-    std::uint32_t tlmVictimProbes = 8;
-    std::uint32_t tlmMigrateThreshold = 2;
-    std::uint32_t bansheeSampleRate = 32;
-    std::uint32_t bansheeHotThreshold = 2;
-    std::uint32_t bansheePteCacheEntries = 128;
 
     // --- Workload ------------------------------------------------------
     /** Capacity scale factor versus the paper's 16GB system. */
@@ -119,21 +92,11 @@ struct SystemConfig
     WarmupPolicy warmupPolicy = WarmupPolicy::Skip;
 
     /**
-     * Records fetched per core per refill in the functional warmup
-     * loop (clamped to [1, 4096]). Purely a host-efficiency knob: the
-     * warmup interleaves cores record-by-record regardless, so results
-     * are invariant to the batch size (proven in test_fidelity.cc).
-     */
-    std::uint32_t functionalRefillBatch = 1024;
-
-    /**
      * Runaway guard for the simulation kernel: maximum agent steps per
      * run (0 = unlimited). A run that hits the limit is reported as
      * truncated in RunResult — its execution time understates reality.
      */
     std::uint64_t maxKernelSteps = 0;
-
-    std::uint64_t seed = 42;
 
     /**
      * Optional access-source factory. When set, System builds each
@@ -152,9 +115,6 @@ struct SystemConfig
 
     /** Derive per-core generator knobs for @p profile. */
     GeneratorParams generatorParamsFor(const WorkloadProfile &profile) const;
-
-    /** Organization-construction view of this config. */
-    OrgConfig orgConfig() const;
 
     /** Total OS-visible capacity when stacked DRAM counts (TLM/CAMEO). */
     std::uint64_t totalMemoryBytes() const

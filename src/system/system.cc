@@ -15,6 +15,9 @@ namespace cameo
 namespace
 {
 
+/** Records fetched per core per refill in the functional warmup. */
+constexpr std::size_t kFunctionalRefillBatch = 1024;
+
 std::uint64_t
 coreSeed(std::uint64_t base, std::uint32_t core)
 {
@@ -32,7 +35,7 @@ System::System(const SystemConfig &config, OrgKind kind,
 System::System(const SystemConfig &config, OrgKind kind,
                const std::vector<WorkloadProfile> &profiles)
     : config_(config), kind_(kind), profiles_(profiles),
-      org_(makeOrganization(kind, config.orgConfig())),
+      org_(makeOrganization(kind, config)),
       llc_("l3", config.l3Bytes, config.l3Ways, config.l3HitLatency,
            ReplPolicy::Lru, config.seed ^ 0x13)
 {
@@ -178,15 +181,13 @@ System::runFunctionalWarmup()
 {
     const std::uint64_t warmup = config_.warmupAccessesPerCore;
     const std::size_t n = cores_.size();
-    const std::size_t batch = std::clamp<std::size_t>(
-        config_.functionalRefillBatch, 1, 4096);
 
     // One prefetch ring per core, all in one flat allocation. The
     // replay is record-major round robin — round r feeds record r of
     // every core, matching the Skip-mode contract that per-core streams
-    // are independent — so the interleaving (and therefore every
-    // architectural state update) is invariant to the batch size.
-    std::vector<Access> buf(n * batch);
+    // are independent — so the batch size sets only how often a core
+    // refills, never the interleaving.
+    std::vector<Access> buf(n * kFunctionalRefillBatch);
     struct Lane
     {
         Access *cur;
@@ -194,7 +195,7 @@ System::runFunctionalWarmup()
     };
     std::vector<Lane> lanes(n);
     for (std::size_t c = 0; c < n; ++c) {
-        Access *base = buf.data() + c * batch;
+        Access *base = buf.data() + c * kFunctionalRefillBatch;
         lanes[c] = {base, base};
     }
 
@@ -207,9 +208,10 @@ System::runFunctionalWarmup()
             if (lane.cur == lane.end) {
                 // Never pull past the warmup prefix: the measured
                 // region must start exactly at record `warmup`.
-                const auto len = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(batch, warmup - rec));
-                Access *base = buf.data() + c * batch;
+                const auto len =
+                    static_cast<std::size_t>(std::min<std::uint64_t>(
+                        kFunctionalRefillBatch, warmup - rec));
+                Access *base = buf.data() + c * kFunctionalRefillBatch;
                 cores_[c]->warmupRefill(base, len);
                 lane = {base, base + len};
             }

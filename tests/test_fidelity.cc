@@ -14,9 +14,7 @@
  * byte) must match bit for bit.
  *
  * The functional loop itself must additionally be invariant to its
- * host-efficiency knobs: the refill batch size (records are fed
- * record-major round-robin regardless of batching) and the stream
- * provider (arena replay is bit-identical to fresh generation).
+ * stream provider (arena replay is bit-identical to fresh generation).
  */
 
 #include <gtest/gtest.h>
@@ -152,34 +150,6 @@ TEST(FidelityDifferentialTest, FunctionalMatchesDetailedBlocking)
 TEST(FidelityDifferentialTest, FunctionalMatchesDetailedQueued)
 {
     expectFunctionalMatchesDetailed(TimingMode::Queued);
-}
-
-/** Functional state after N warmup accesses must not depend on the
- *  refill batch size (multi-core: batching never changes the
- *  record-major interleaving). */
-TEST(FidelityFunctionalTest, StateInvariantToRefillBatch)
-{
-    const WorkloadProfile &wl = *findWorkload("milc");
-    for (const auto &[label, kind] : kAllOrgs) {
-        SCOPED_TRACE(label);
-        std::vector<std::uint8_t> reference;
-        for (const std::uint32_t batch : {1u, 7u, 64u, 1000u}) {
-            SystemConfig c =
-                fidelityConfig(TimingMode::Blocking,
-                               WarmupPolicy::Functional);
-            c.functionalRefillBatch = batch;
-            System system(c, kind, wl);
-            (void)system.run();
-            std::vector<std::uint8_t> blob = saveBytes(system);
-            if (reference.empty()) {
-                reference = std::move(blob);
-                continue;
-            }
-            EXPECT_TRUE(blob == reference)
-                << label << ": snapshot differs at refill batch "
-                << batch;
-        }
-    }
 }
 
 /** Arena replay must feed the functional loop the exact stream fresh

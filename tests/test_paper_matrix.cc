@@ -35,8 +35,8 @@ TEST(PaperMatrixTest, PrintsEveryArtifactFromOneSweep)
             const SystemConfig &a = points[i].config;
             const SystemConfig &b = points[j].config;
             EXPECT_FALSE(points[i].kind == points[j].kind &&
-                         a.lltKind == b.lltKind &&
-                         a.predictorKind == b.predictorKind)
+                         a.llt.kind == b.llt.kind &&
+                         a.llt.predictor == b.llt.predictor)
                 << points[i].label << " and " << points[j].label;
             EXPECT_NE(points[i].label, points[j].label);
         }
@@ -89,13 +89,13 @@ TEST(PaperMatrixTest, BaselineIgnoresLltAndPredictor)
     // no setting of the LLT or the predictor reaches a Baseline run.
     SystemConfig colocated = defaultConfig();
     colocated.accessesPerCore = 2000;
-    colocated.lltKind = LltKind::CoLocated;
-    colocated.predictorKind = PredictorKind::Llp;
-    colocated.llpTableEntries = 256;
+    colocated.llt.kind = LltKind::CoLocated;
+    colocated.llt.predictor = PredictorKind::Llp;
+    colocated.llt.llpTableEntries = 256;
     SystemConfig ideal = colocated;
-    ideal.lltKind = LltKind::Ideal;
-    ideal.predictorKind = PredictorKind::Sam;
-    ideal.llpTableEntries = 1;
+    ideal.llt.kind = LltKind::Ideal;
+    ideal.llt.predictor = PredictorKind::Sam;
+    ideal.llt.llpTableEntries = 1;
     for (const char *name : {"mcf", "milc"}) {
         const WorkloadProfile &wl = *findWorkload(name);
         const RunResult a = runWorkload(colocated, OrgKind::Baseline, wl);

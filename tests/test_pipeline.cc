@@ -33,6 +33,7 @@
 
 #include "check/audit.hh"
 #include "check/queue_auditor.hh"
+#include "dram/dram_module.hh"
 #include "exp/sweep.hh"
 #include "orgs/memory_organization.hh"
 #include "sim/event_queue.hh"
@@ -67,6 +68,27 @@ smallOrgConfig(TimingMode mode)
     c.freq.epochAccesses = 512;
     c.timingMode = mode;
     return c;
+}
+
+/**
+ * The organization built both DRAM modules (the stacked one is absent
+ * only for Baseline) at @p oc's timing mode and queue geometry.
+ */
+void
+expectModulesFollowConfig(const MemoryOrganization &org, OrgKind kind,
+                          const OrgConfig &oc)
+{
+    EXPECT_EQ(org.stackedModule() == nullptr, kind == OrgKind::Baseline)
+        << orgKindName(kind);
+    for (const DramModule *module :
+         {org.stackedModule(), &org.offchipModule()}) {
+        if (module == nullptr)
+            continue;
+        EXPECT_EQ(module->timingMode(), oc.timingMode)
+            << orgKindName(kind) << " " << module->name();
+        EXPECT_EQ(module->queueConfig(), oc.dramQueues)
+            << orgKindName(kind) << " " << module->name();
+    }
 }
 
 /** Records every completion it receives. */
@@ -135,6 +157,7 @@ TEST(PipelineBlockingTest, SubmitMatchesLegacyAccessForEveryOrg)
             piped->setPageHeat({});
         }
         EXPECT_EQ(piped->timingMode(), TimingMode::Blocking);
+        expectModulesFollowConfig(*piped, kind, oc);
 
         const std::uint64_t lines = legacy->visibleBytes() / kLineBytes;
         const auto reqs =
@@ -257,12 +280,15 @@ TEST_F(QueueAuditorTest, EnforcesOccupancyBound)
 TEST(PipelineQueuedTest, RandomStreamDrainsCleanlyForEveryOrg)
 {
     for (const OrgKind kind : kAllOrgKinds) {
-        const OrgConfig oc = smallOrgConfig(TimingMode::Queued);
+        OrgConfig oc = smallOrgConfig(TimingMode::Queued);
+        // Not the default geometry, so the module check sees it arrive.
+        oc.dramQueues.readWindow = 8;
         const auto org = makeOrganization(kind, oc);
         ASSERT_NE(org, nullptr);
         if (kind == OrgKind::TlmOracle)
             org->setPageHeat({});
         EXPECT_EQ(org->timingMode(), TimingMode::Queued);
+        expectModulesFollowConfig(*org, kind, oc);
 
         EventQueue events;
         org->bindEventQueue(&events);

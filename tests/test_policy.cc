@@ -33,6 +33,7 @@
 #include "orgs/policy/sampling_freq_placement.hh"
 #include "snapshot/snapshot.hh"
 #include "snapshot_common.hh"
+#include "system/config.hh"
 #include "util/rng.hh"
 
 namespace cameo
@@ -57,8 +58,7 @@ class MockContext : public PlacementContext
 {
   public:
     MockContext(std::uint64_t stacked_pages, std::uint64_t total_pages)
-        : mapping(total_pages), stacked_(stacked_pages),
-          total_(total_pages)
+        : mapping(total_pages), stacked_(stacked_pages), total_(total_pages)
     {
     }
 
@@ -290,8 +290,8 @@ TEST(NthTouchPlacementTest, MatchesTlmDynamicOrgOnSameStream)
     const std::uint64_t total_pages =
         (c.stackedBytes + c.offchipBytes) / kPageBytes;
     MockContext ctx(stacked_pages, total_pages);
-    NthTouchMigratePlacement policy(stacked_pages, total_pages,
-                                    c.migrate, c.seed);
+    NthTouchMigratePlacement policy(stacked_pages, total_pages, c.migrate,
+                                    c.seed);
 
     const std::uint64_t total_lines = total_pages * kLinesPerPage;
     Rng rng(555);
@@ -337,8 +337,7 @@ TEST(EpochFreqPlacementTest, MatchesTlmFreqOrgOnSameStream)
         // Skewed stream so the epochs have hot pages to promote.
         const PageAddr page = rng.chance(0.7) ? rng.next(32)
                                               : rng.next(total_pages);
-        const LineAddr line =
-            page * kLinesPerPage + rng.next(kLinesPerPage);
+        const LineAddr line = page * kLinesPerPage + rng.next(kLinesPerPage);
         ASSERT_LT(line, total_lines);
         const bool is_write = rng.chance(0.3);
         org.access(now, line, is_write, 0x400, 0);
@@ -517,11 +516,9 @@ TEST(OrgCompositionTest, TableMatchesLivePolicyNames)
         const auto *composed = dynamic_cast<ComposedOrg *>(org.get());
         if (composed == nullptr)
             continue; // monolith-hosted kinds: table is documentary
-        EXPECT_STREQ(comp.mapping,
-                     composed->mappingPolicy().policyName())
+        EXPECT_STREQ(comp.mapping, composed->mappingPolicy().policyName())
             << orgKindName(kind);
-        EXPECT_STREQ(comp.placement,
-                     composed->placementPolicy().policyName())
+        EXPECT_STREQ(comp.placement, composed->placementPolicy().policyName())
             << orgKindName(kind);
     }
     // The single-class organizations hold no policy objects; their rows
@@ -529,8 +526,7 @@ TEST(OrgCompositionTest, TableMatchesLivePolicyNames)
     EXPECT_STREQ(orgComposition(OrgKind::AlloyCache).mapping, "tad-tags");
     EXPECT_STREQ(orgComposition(OrgKind::DoubleUse).mapping, "tad-tags");
     EXPECT_STREQ(orgComposition(OrgKind::Cameo).mapping, "llt-line-swap");
-    EXPECT_STREQ(orgComposition(OrgKind::CameoFreq).mapping,
-                 "llt-line-swap");
+    EXPECT_STREQ(orgComposition(OrgKind::CameoFreq).mapping, "llt-line-swap");
     EXPECT_STREQ(orgComposition(OrgKind::CameoFreq).placement,
                  "freq-admission");
 }
@@ -540,6 +536,13 @@ TEST(OrgConfigValidateTest, AcceptsDefaultsRejectsBrokenPoints)
     OrgConfig c = smallConfig();
     for (const OrgKind kind : allOrgKinds())
         EXPECT_EQ(c.validate(kind), nullptr) << orgKindName(kind);
+
+    // Every SystemConfig preset is an OrgConfig that builds every kind.
+    for (const SystemConfig &preset :
+         {defaultConfig(), paperConfig(), tinyConfig()}) {
+        for (const OrgKind kind : allOrgKinds())
+            EXPECT_EQ(preset.validate(kind), nullptr) << orgKindName(kind);
+    }
 
     // Broken for every kind.
     const auto rejected_by_all = [](const OrgConfig &cfg) {
@@ -615,8 +618,7 @@ TEST(OrgSetPageHeatTest, NonOracleOrgsReportNotAnError)
     for (const OrgKind kind : allOrgKinds()) {
         const auto org = makeOrganization(kind, c);
         const bool consumed = org->setPageHeat({});
-        EXPECT_EQ(consumed, kind == OrgKind::TlmOracle)
-            << orgKindName(kind);
+        EXPECT_EQ(consumed, kind == OrgKind::TlmOracle) << orgKindName(kind);
     }
 }
 

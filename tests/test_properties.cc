@@ -271,8 +271,8 @@ TEST_P(CameoVariantTest, ServiceCountsAddUp)
     const auto [llt, pred] = GetParam();
     SystemConfig c = tinyConfig();
     c.accessesPerCore = 8000;
-    c.lltKind = llt;
-    c.predictorKind = pred;
+    c.llt.kind = llt;
+    c.llt.predictor = pred;
     const WorkloadProfile &wl = *findWorkload("milc");
     const RunResult r = runWorkload(c, OrgKind::Cameo, wl);
     // Every L3 miss (demand or writeback-induced) was serviced by one

@@ -154,15 +154,15 @@ TEST(SystemTest, LlpAccuracyBeatsSamCoverage)
     c.accessesPerCore = 40000;
     const WorkloadProfile &wl = *findWorkload("leslie3d");
     SystemConfig sam = c;
-    sam.predictorKind = PredictorKind::Sam;
+    sam.llt.predictor = PredictorKind::Sam;
     const RunResult rs = runWorkload(sam, OrgKind::Cameo, wl);
     SystemConfig llp = c;
-    llp.predictorKind = PredictorKind::Llp;
+    llp.llt.predictor = PredictorKind::Llp;
     const RunResult rl = runWorkload(llp, OrgKind::Cameo, wl);
     EXPECT_GT(rl.llpAccuracy, rs.llpAccuracy);
     // Perfect is perfect.
     SystemConfig perfect = c;
-    perfect.predictorKind = PredictorKind::Perfect;
+    perfect.llt.predictor = PredictorKind::Perfect;
     const RunResult rp = runWorkload(perfect, OrgKind::Cameo, wl);
     EXPECT_DOUBLE_EQ(rp.llpAccuracy, 1.0);
 }

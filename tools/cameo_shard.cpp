@@ -5,42 +5,10 @@
  * Runs a workload × organization sweep matrix either in-process (the
  * reference mode) or as a fleet of worker subprocesses, and writes the
  * merged results as deterministic CSV — byte-identical between the two
- * modes and across any shard count:
- *
- *   cameo-shard --workloads=milc,mcf --orgs=cameo,cache          # in-process
- *   cameo-shard --workloads=milc,mcf --orgs=cameo,cache --shards=4
- *
- * Flags:
- *   --workloads   comma-separated Table II benchmark names (default milc)
- *   --orgs        comma-separated organization names         (default cameo)
- *   --accesses    L3-level accesses per core (>= 1)          (default 200000)
- *   --cores       number of cores                            (default 8)
- *   --stacked-mb  stacked DRAM capacity in MB                (default 8)
- *   --offchip-mb  off-chip DRAM capacity in MB               (default 24)
- *   --seed        RNG seed                                   (default 42)
- *   --timing      blocking|queued memory pipeline            (default blocking)
- *   --warmup      warmup accesses per core (see cameo_sim)   (default 0)
- *   --fidelity    skip|functional|detailed warmup fidelity   (default skip)
- *   --shards      worker process count; 0 runs the sweep
- *                 in-process (reference mode). Also the
- *                 CAMEO_SHARDS environment variable; the flag
- *                 wins                                       (default 0)
- *   --jobs        sweep threads for the in-process mode and
- *                 per worker (default 1: determinism needs no
- *                 thread pinning, processes are the axis)
- *   --trace-cache-dir  shared packed-trace directory: the whole fleet
- *                 records each workload stream once (also
- *                 CAMEO_TRACE_CACHE_DIR)
- *   --out         CSV output path (default: stdout)
- *   --summary-json     also write a JSON summary (deterministic
- *                 aggregates only — no wall-clock, no shard count)
- *   --progress    stream per-job completion lines to stderr
- *
- * Worker plumbing (normally set by the orchestrator, documented for
- * debugging): --worker turns this invocation into a shard worker that
- * runs its slice (--shard-index, also CAMEO_SHARD_INDEX) of the same
- * job list and streams framed results to the fd in
- * CAMEO_SHARD_RESULT_FD (default: stdout).
+ * modes and across any shard count. `cameo-shard --help` prints every
+ * flag (kUsage below). Unknown flags only warn: perfbench's fleet
+ * command still passes --warm-prefix and --warm-cache-dir, which this
+ * tool no longer has.
  */
 
 #include <cstdio>
@@ -64,6 +32,46 @@ namespace
 {
 
 using namespace cameo;
+
+/** The flag reference, printed by --help. */
+constexpr const char *kUsage = R"(usage: cameo-shard [flags]
+
+  cameo-shard --workloads=milc,mcf --orgs=cameo,cache          # in-process
+  cameo-shard --workloads=milc,mcf --orgs=cameo,cache --shards=4
+
+Flags:
+  --workloads   comma-separated Table II benchmark names (default milc)
+  --orgs        comma-separated organization names       (default cameo)
+  --accesses    L3-level accesses per core (>= 1)        (default 200000)
+  --cores       number of cores                          (default 8)
+  --stacked-mb  stacked DRAM capacity in MB              (default 8)
+  --offchip-mb  off-chip DRAM capacity in MB             (default 24)
+  --seed        RNG seed                                 (default 42)
+  --timing      blocking|queued memory pipeline          (default blocking)
+  --warmup      warmup accesses per core (see cameo-sim) (default 0)
+  --fidelity    skip|functional|detailed warmup fidelity (default skip)
+  --shards      worker process count; 0 runs the sweep
+                in-process (reference mode). Also the
+                CAMEO_SHARDS environment variable; the flag
+                wins                                     (default 0)
+  --jobs        sweep threads for the in-process mode and
+                per worker (default 1: determinism needs no
+                thread pinning, processes are the axis)
+  --trace-cache-dir  shared packed-trace directory: the whole fleet
+                records each workload stream once (also
+                CAMEO_TRACE_CACHE_DIR)
+  --out         CSV output path (default: stdout)
+  --summary-json     also write a JSON summary (deterministic
+                aggregates only — no wall-clock, no shard count)
+  --progress    stream per-job completion lines to stderr
+  --help        print this text and exit
+
+Worker plumbing (normally set by the orchestrator, documented for
+debugging): --worker turns this invocation into a shard worker that
+runs its slice (--shard-index, also CAMEO_SHARD_INDEX) of the same job
+list and streams framed results to the fd in CAMEO_SHARD_RESULT_FD
+(default: stdout).
+)";
 
 std::vector<std::string>
 splitCsv(const std::string &text)
@@ -140,6 +148,11 @@ int
 main(int argc, char **argv)
 {
     const CliParser cli(argc, argv);
+
+    if (cli.has("help")) {
+        std::cout << kUsage;
+        return EXIT_SUCCESS;
+    }
 
     // Parse every flag up front, in every mode, so a worker inheriting
     // the orchestrator's argv never warns about "unknown" output flags.
@@ -235,7 +248,7 @@ main(int argc, char **argv)
                       << "\"\n";
             return EXIT_FAILURE;
         }
-        if (const char *err = config.orgConfig().validate(*kind)) {
+        if (const char *err = config.validate(*kind)) {
             std::cerr << "error: cannot build " << orgKindName(*kind)
                       << ": " << err << "\n";
             return EXIT_FAILURE;
