@@ -49,7 +49,7 @@ Flags:
   --timing      blocking|queued memory pipeline         (default blocking)
   --warmup      accesses per core consumed before measurement, in
                 addition to --accesses; what they do is set by
-                --fidelity. Must be < --accesses        (default 0)
+                --fidelity                              (default 0)
   --fidelity    what the warmup prefix does (DESIGN.md §13):
                 skip       fast-forward the trace cursor only
                 functional replay through the functional access path
@@ -58,12 +58,6 @@ Flags:
                 detailed   full-timing warmup, timing reset at the
                            switch (the slow reference)
                                                         (default skip)
-  --switch-at   carve the first N accesses per core out of --accesses
-                as warmup (so the total trace length is unchanged) and
-                switch fidelity there; implies --fidelity=functional
-                unless --fidelity says otherwise. Mutually exclusive
-                with --warmup; must leave at least one measured
-                access                                  (default 0 = off)
   --checkpoint-at  pause after this many aggregate accesses (summed
                 over cores), snapshot the full simulation state to
                 --checkpoint-out, then continue to completion
@@ -88,7 +82,9 @@ Flags:
                 silently replayed. Every run replays its streams
                 from the trace arena (DESIGN.md §10); this only
                 makes the recordings outlive the process.
-  --dump-stats  print the full statistics registry
+  --dump-stats  print the full statistics registry (text mode adds
+                the run's accesses and instructions and each latency
+                histogram's non-empty buckets)
   --json        machine-readable stats (implies --dump-stats)
   --csv         CSV stats with percentiles (implies --dump-stats)
   --list        list workloads and exit
@@ -109,41 +105,12 @@ main(int argc, char **argv)
         return EXIT_SUCCESS;
     }
 
-    if (cli.getBool("list")) {
-        for (const auto &wl : allWorkloads()) {
-            std::cout << wl.name << " (" << categoryName(wl.category)
-                      << ", " << wl.paperFootprintGb << " GB, MPKI "
-                      << wl.paperMpki << ")\n";
-        }
-        return EXIT_SUCCESS;
-    }
-
-    if (cli.getBool("list-orgs")) {
-        for (const OrgKind k : allOrgKinds()) {
-            const OrgComposition comp = orgComposition(k);
-            std::cout << orgKindName(k) << " (mapping: " << comp.mapping
-                      << ", placement: " << comp.placement << ")\n";
-        }
-        return EXIT_SUCCESS;
-    }
-
+    // Read every flag before acting on any, so that a misspelt flag or
+    // a bad value is an error in every mode, --list included.
+    const bool list = cli.getBool("list");
+    const bool list_orgs = cli.getBool("list-orgs");
     const std::string org_name = cli.getString("org", "cameo");
-    const std::optional<OrgKind> parsed = orgKindFromName(org_name);
-    if (!parsed) {
-        std::cerr << "error: unknown --org \"" << org_name
-                  << "\"; valid names:";
-        for (const OrgKind k : allOrgKinds())
-            std::cerr << ' ' << orgKindName(k);
-        std::cerr << " (see --list-orgs)\n";
-        return EXIT_FAILURE;
-    }
-    const OrgKind kind = *parsed;
-    const WorkloadProfile *profile =
-        findWorkload(cli.getString("workload", "milc"));
-    if (profile == nullptr) {
-        std::cerr << "error: unknown --workload (try --list)\n";
-        return EXIT_FAILURE;
-    }
+    const std::string workload_name = cli.getString("workload", "milc");
 
     SystemConfig config = defaultConfig();
     config.accessesPerCore = cli.getUint("accesses", 200'000);
@@ -157,99 +124,12 @@ main(int argc, char **argv)
     config.seed = cli.getUint("seed", config.seed);
     config.llt.llpTableEntries = static_cast<std::uint32_t>(
         cli.getUint("llp-entries", config.llt.llpTableEntries, UINT32_MAX));
-
-    const std::string llt = cli.getString("llt", "colocated");
-    if (llt == "ideal")
-        config.llt.kind = LltKind::Ideal;
-    else if (llt == "embedded")
-        config.llt.kind = LltKind::Embedded;
-    else if (llt == "colocated")
-        config.llt.kind = LltKind::CoLocated;
-    else {
-        std::cerr << "error: unknown --llt\n";
-        return EXIT_FAILURE;
-    }
-
-    const std::string pred = cli.getString("predictor", "llp");
-    if (pred == "sam")
-        config.llt.predictor = PredictorKind::Sam;
-    else if (pred == "llp")
-        config.llt.predictor = PredictorKind::Llp;
-    else if (pred == "perfect")
-        config.llt.predictor = PredictorKind::Perfect;
-    else {
-        std::cerr << "error: unknown --predictor\n";
-        return EXIT_FAILURE;
-    }
-
-    const std::string timing = cli.getString("timing", "blocking");
-    if (timing == "blocking")
-        config.timingMode = TimingMode::Blocking;
-    else if (timing == "queued")
-        config.timingMode = TimingMode::Queued;
-    else {
-        std::cerr << "error: unknown --timing (blocking|queued)\n";
-        return EXIT_FAILURE;
-    }
-
-    if (cli.getBool("refresh")) {
-        // DDR3-class refresh: tREFI 7.8us, tRFC ~350ns in bus cycles.
-        config.offchip.tRefi = 6240; // 7.8us @ 800MHz
-        config.offchip.tRfc = 280;   // 350ns @ 800MHz
-        config.stacked.tRefi = 12480; // 7.8us @ 1.6GHz
-        config.stacked.tRfc = 560;
-    }
-
-    if (config.accessesPerCore == 0) {
-        std::cerr << "error: --accesses must be at least 1\n";
-        return EXIT_FAILURE;
-    }
     config.warmupAccessesPerCore = cli.getUint("warmup", 0);
-    if (config.warmupAccessesPerCore != 0 &&
-        config.warmupAccessesPerCore >= config.accessesPerCore) {
-        std::cerr << "error: --warmup=" << config.warmupAccessesPerCore
-                  << " must be smaller than --accesses="
-                  << config.accessesPerCore
-                  << " (warmup may not swallow the measured region)\n";
-        return EXIT_FAILURE;
-    }
-
+    const std::string llt = cli.getString("llt", "colocated");
+    const std::string pred = cli.getString("predictor", "llp");
+    const std::string timing = cli.getString("timing", "blocking");
     const std::string fidelity = cli.getString("fidelity", "");
-    if (!fidelity.empty()) {
-        if (fidelity == "skip")
-            config.warmupPolicy = WarmupPolicy::Skip;
-        else if (fidelity == "functional")
-            config.warmupPolicy = WarmupPolicy::Functional;
-        else if (fidelity == "detailed")
-            config.warmupPolicy = WarmupPolicy::Detailed;
-        else {
-            std::cerr << "error: unknown --fidelity '" << fidelity
-                      << "' (skip|functional|detailed)\n";
-            return EXIT_FAILURE;
-        }
-    }
-
-    const std::uint64_t switch_at = cli.getUint("switch-at", 0);
-    if (switch_at != 0) {
-        if (config.warmupAccessesPerCore != 0) {
-            std::cerr << "error: --switch-at and --warmup are mutually "
-                         "exclusive (--switch-at carves the warmup out "
-                         "of --accesses, --warmup prepends records)\n";
-            return EXIT_FAILURE;
-        }
-        if (switch_at >= config.accessesPerCore) {
-            std::cerr << "error: --switch-at=" << switch_at
-                      << " is past the end of the run (--accesses="
-                      << config.accessesPerCore
-                      << "); it must leave at least one measured "
-                         "access\n";
-            return EXIT_FAILURE;
-        }
-        config.warmupAccessesPerCore = switch_at;
-        config.accessesPerCore -= switch_at;
-        if (fidelity.empty())
-            config.warmupPolicy = WarmupPolicy::Functional;
-    }
+    const bool refresh = cli.getBool("refresh");
 
     const std::uint64_t checkpoint_at = cli.getUint("checkpoint-at", 0);
     const std::string checkpoint_out =
@@ -257,11 +137,7 @@ main(int argc, char **argv)
     const std::string restore_path = cli.getString("restore", "");
 
     const bool want_baseline = cli.getBool("baseline");
-
     const std::string cache_dir = cli.getString("trace-cache-dir", "");
-    if (!cache_dir.empty())
-        TraceArenaCache::instance().setCacheDir(cache_dir);
-
     const bool json = cli.getBool("json");
     const bool csv = cli.getBool("csv");
     const bool dump = cli.getBool("dump-stats") || json || csv;
@@ -275,6 +151,96 @@ main(int argc, char **argv)
         std::cerr << "error: " << err << "\n";
     if (!unknown.empty() || !cli.errors().empty())
         return EXIT_FAILURE;
+
+    if (list) {
+        for (const auto &wl : allWorkloads()) {
+            std::cout << wl.name << " (" << categoryName(wl.category)
+                      << ", " << wl.paperFootprintGb << " GB, MPKI "
+                      << wl.paperMpki << ")\n";
+        }
+        return EXIT_SUCCESS;
+    }
+
+    if (list_orgs) {
+        for (const OrgKind k : allOrgKinds()) {
+            const OrgComposition comp = orgComposition(k);
+            std::cout << orgKindName(k) << " (mapping: " << comp.mapping
+                      << ", placement: " << comp.placement << ")\n";
+        }
+        return EXIT_SUCCESS;
+    }
+
+    const std::optional<OrgKind> parsed = orgKindFromName(org_name);
+    if (!parsed) {
+        std::cerr << "error: unknown --org \"" << org_name
+                  << "\"; valid names:";
+        for (const OrgKind k : allOrgKinds())
+            std::cerr << ' ' << orgKindName(k);
+        std::cerr << " (see --list-orgs)\n";
+        return EXIT_FAILURE;
+    }
+    const OrgKind kind = *parsed;
+    const WorkloadProfile *profile = findWorkload(workload_name);
+    if (profile == nullptr) {
+        std::cerr << "error: unknown --workload (try --list)\n";
+        return EXIT_FAILURE;
+    }
+
+    if (llt == "ideal")
+        config.llt.kind = LltKind::Ideal;
+    else if (llt == "embedded")
+        config.llt.kind = LltKind::Embedded;
+    else if (llt == "colocated")
+        config.llt.kind = LltKind::CoLocated;
+    else {
+        std::cerr << "error: unknown --llt\n";
+        return EXIT_FAILURE;
+    }
+
+    if (pred == "sam")
+        config.llt.predictor = PredictorKind::Sam;
+    else if (pred == "llp")
+        config.llt.predictor = PredictorKind::Llp;
+    else if (pred == "perfect")
+        config.llt.predictor = PredictorKind::Perfect;
+    else {
+        std::cerr << "error: unknown --predictor\n";
+        return EXIT_FAILURE;
+    }
+
+    if (timing == "blocking")
+        config.timingMode = TimingMode::Blocking;
+    else if (timing == "queued")
+        config.timingMode = TimingMode::Queued;
+    else {
+        std::cerr << "error: unknown --timing (blocking|queued)\n";
+        return EXIT_FAILURE;
+    }
+
+    if (refresh) {
+        config.offchip.enableDdr3Refresh();
+        config.stacked.enableDdr3Refresh();
+    }
+
+    if (config.accessesPerCore == 0) {
+        std::cerr << "error: --accesses must be at least 1\n";
+        return EXIT_FAILURE;
+    }
+
+    if (fidelity == "skip")
+        config.warmupPolicy = WarmupPolicy::Skip;
+    else if (fidelity == "functional")
+        config.warmupPolicy = WarmupPolicy::Functional;
+    else if (fidelity == "detailed")
+        config.warmupPolicy = WarmupPolicy::Detailed;
+    else if (!fidelity.empty()) {
+        std::cerr << "error: unknown --fidelity '" << fidelity
+                  << "' (skip|functional|detailed)\n";
+        return EXIT_FAILURE;
+    }
+
+    if (!cache_dir.empty())
+        TraceArenaCache::instance().setCacheDir(cache_dir);
 
     std::vector<OrgKind> requested = {kind};
     if (want_baseline)
@@ -300,7 +266,7 @@ main(int argc, char **argv)
                               }});
     }
     sweep_jobs.push_back(
-        {cli.getString("org", "cameo"), [&] {
+        {org_name, [&] {
              main_system = std::make_unique<System>(config, kind, *profile);
              if (!restore_path.empty()) {
                  std::string err;
@@ -357,8 +323,23 @@ main(int argc, char **argv)
                              static_cast<double>(r.execTime);
         }
         std::cout << "\n";
-        if (dump)
+        if (dump) {
+            std::cout << "accesses=" << r.accesses
+                      << " instr=" << r.instructions << "\n";
             system.stats().dump(std::cout);
+            for (const Distribution *d : system.stats().distributions()) {
+                if (d->buckets().empty() || d->count() == 0)
+                    continue;
+                std::cout << "histogram " << d->name() << " (bucket "
+                          << d->bucketWidth() << "):";
+                for (std::size_t i = 0; i < d->buckets().size(); ++i) {
+                    if (d->buckets()[i])
+                        std::cout << " [" << i * d->bucketWidth()
+                                  << "]=" << d->buckets()[i];
+                }
+                std::cout << " overflow=" << d->overflow() << "\n";
+            }
+        }
     }
     return EXIT_SUCCESS;
 }

@@ -1,14 +1,15 @@
 #!/bin/sh
 # Regenerates bench_output.txt: every paper figure/table at full
-# settings (paper_figures prints the nine simulated ones from one
-# sweep; fig03, table1 and fig08 run no simulation), ablations and
-# mix_study on a representative subset, then the perf_queue and
-# perf_banshee extension benches (simulated results, not host time;
-# the simulator's own speed is perfbench/'s job).
+# settings (paper_figures prints Fig 3, Table I and Fig 8, which run no
+# simulation, then the nine simulated ones from one sweep), the
+# ablations (one sweep) and mix_study on a representative subset, then
+# the perf_queue and perf_banshee extension benches (simulated results,
+# not host time; the simulator's own speed is perfbench/'s job).
 # Set CAMEO_BENCH_JOBS=$(nproc) to run each bench's simulation grid on
 # all cores; tables are bit-identical to a serial run. The whole suite
-# took 61 s at CAMEO_BENCH_JOBS=4 on a 4-vCPU Xeon VM (RelWithDebInfo,
-# g++ 12.2; paper_figures 20 s, perf_banshee 14 s).
+# took 43-49 s over two runs at CAMEO_BENCH_JOBS=4 on a 4-vCPU Xeon VM
+# (RelWithDebInfo, g++ 12.2; paper_figures 17-20 s, ablations 10-12 s,
+# perf_banshee 10-12 s).
 #
 # Every bench runs even when an earlier one fails; the script exits
 # nonzero at the end listing every failed bench, so one broken figure
@@ -25,7 +26,7 @@ if [ ! -d build/bench ]; then
     echo "Build first:  cmake -B build -S . && cmake --build build -j" >&2
     exit 1
 fi
-for b in paper_figures perf_queue perf_banshee; do
+for b in paper_figures ablations mix_study perf_queue perf_banshee; do
     if [ ! -x "build/bench/$b" ]; then
         echo "error: build/bench/$b missing or not executable." >&2
         echo "Rebuild:  cmake --build build -j" >&2
@@ -60,12 +61,9 @@ run_bench() {
     echo
 }
 
-for b in paper_figures fig03_dram_trends table1_config fig08_llt_latency; do
-    run_bench "bench/$b" "$b"
-done
+run_bench "bench/paper_figures" paper_figures
 export CAMEO_BENCH_WORKLOADS=mcf,GemsFDTD,zeusmp,milc,soplex,libquantum,omnetpp,leslie3d
-for b in ablation_llp_table ablation_capacity_ratio ablation_cameo_freq \
-         ablation_refresh mix_study; do
+for b in ablations mix_study; do
     run_bench "bench/$b (workload subset: $CAMEO_BENCH_WORKLOADS)" "$b"
 done
 unset CAMEO_BENCH_WORKLOADS

@@ -59,11 +59,19 @@ struct DramTimings
      * Refresh interval and all-bank refresh duration in bus cycles
      * (DDR3: tREFI 7.8us, tRFC 260-350ns). tRefi = 0 disables refresh
      * modelling, which is the default — Table I does not specify
-     * refresh parameters, so the reproduction keeps it off and the
-     * ablation bench quantifies its effect.
+     * refresh parameters, so the reproduction keeps it off and
+     * bench/ablations quantifies its effect.
      */
     std::uint32_t tRefi = 0;
     std::uint32_t tRfc = 0;
+
+    /** Model DDR3-class refresh: tREFI 7.8us and tRFC 350ns at busMhz
+     *  (6240 and 280 bus cycles at 800 MHz). */
+    void enableDdr3Refresh()
+    {
+        tRefi = busMhz * 78 / 10;
+        tRfc = busMhz * 35 / 100;
+    }
 
     /** Refresh parameters converted to CPU cycles. */
     Tick refiCycles() const { return Tick{tRefi} * cpuCyclesPerBusCycle(); }

@@ -115,8 +115,14 @@ CliParser::getBool(const std::string &name, bool def) const
     const auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    return it->second.empty() || it->second == "true" ||
-           it->second == "1";
+    const std::string &text = it->second;
+    if (text.empty() || text == "true" || text == "1")
+        return true;
+    if (text == "false" || text == "0")
+        return false;
+    errors_.push_back("--" + name + ": expected true/false/1/0, got '" +
+                      text + "'");
+    return def;
 }
 
 std::vector<std::string>

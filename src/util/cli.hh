@@ -45,7 +45,10 @@ class CliParser
      *  @p def. */
     double getDouble(const std::string &name, double def = 0.0) const;
 
-    /** Boolean flag: present without value (or =true/=1) is true. */
+    /** Boolean flag: present without a value, or =true/=1, is true;
+     *  =false/=0 is false. Any other value (including a positional
+     *  word read as the value of a bare --flag) records an error and
+     *  returns @p def. */
     bool getBool(const std::string &name, bool def = false) const;
 
     /** Positional (non-flag) arguments, in order. */

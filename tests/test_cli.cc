@@ -49,6 +49,15 @@ TEST(CliParserTest, BareBooleanFlags)
     EXPECT_TRUE(cli.getBool("on"));
     EXPECT_FALSE(cli.getBool("absent"));
     EXPECT_TRUE(cli.getBool("absent", true));
+    EXPECT_TRUE(cli.errors().empty());
+
+    // "--list-orgs extra" reads "extra" as the flag's value: an error,
+    // not a silent false that lets the tool run on.
+    const auto word = parse({"--list-orgs", "extra", "--accesses=1000"});
+    EXPECT_FALSE(word.getBool("list-orgs"));
+    ASSERT_EQ(word.errors().size(), 1u);
+    EXPECT_EQ(word.errors()[0],
+              "--list-orgs: expected true/false/1/0, got 'extra'");
 }
 
 TEST(CliParserTest, Positional)
@@ -172,6 +181,16 @@ TEST(RefreshTest, DisabledByDefault)
     DramModule mod("t", t, 1 << 20);
     mod.request(0, 0, false, 64);
     EXPECT_EQ(mod.refreshStalls().value(), 0u);
+
+    // Turned on, it is DDR3's 7.8us / 350ns at each module's bus clock.
+    DramTimings offchip = t;
+    offchip.enableDdr3Refresh();
+    EXPECT_EQ(offchip.tRefi, 6240u);
+    EXPECT_EQ(offchip.tRfc, 280u);
+    DramTimings stacked = stackedTimings();
+    stacked.enableDdr3Refresh();
+    EXPECT_EQ(stacked.tRefi, 12480u);
+    EXPECT_EQ(stacked.tRfc, 560u);
 }
 
 TEST(RefreshTest, StallsAccessesInRefreshWindow)

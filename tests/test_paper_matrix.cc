@@ -85,7 +85,7 @@ TEST(PaperMatrixTest, PrintsEveryArtifactFromOneSweep)
 TEST(PaperMatrixTest, BaselineIgnoresLltAndPredictor)
 {
     // Every artifact shares one Baseline run per workload, and
-    // ablation_llp_table one across its table sizes: safe only while
+    // bench/ablations one across its LLP table sizes: safe only while
     // no setting of the LLT or the predictor reaches a Baseline run.
     SystemConfig colocated = defaultConfig();
     colocated.accessesPerCore = 2000;

@@ -210,11 +210,6 @@ main(int argc, char **argv)
         return EXIT_FAILURE;
     }
     config.warmupAccessesPerCore = warmup;
-    if (warmup != 0 && warmup >= accesses) {
-        std::cerr << "error: --warmup must be smaller than "
-                     "--accesses\n";
-        return EXIT_FAILURE;
-    }
     if (!fidelity.empty()) {
         if (fidelity == "skip")
             config.warmupPolicy = WarmupPolicy::Skip;
